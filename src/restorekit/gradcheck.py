@@ -126,17 +126,14 @@ def check_primitives(seed: int = 0) -> dict[str, float]:
     run("conv2d.x", lambda v: ops.tsum(ops.square(ops.conv2d(v, w, b))), x4)
     run("conv2d.w", lambda v: ops.tsum(ops.square(ops.conv2d(x4, v, b))), w)
     run("conv2d.b", lambda v: ops.tsum(ops.square(ops.conv2d(x4, w, v))), b)
-    xs = _t(rng, (1, 4, 6, 6))
-    ws = _t(rng, (6, 4, 3, 3))
-    run("conv2d.stride2", lambda v: ops.tsum(ops.square(ops.conv2d(v, ws, stride=2, padding=1))), xs)
+    w1 = _t(rng, (6, 3, 1, 1))
+    run("conv2d.1x1", lambda v: ops.tsum(ops.square(ops.conv2d(v, w1))), _t(rng, (2, 3, 5, 5)))
     xd = _t(rng, (2, 4, 5, 5))
     wd = _t(rng, (4, 1, 3, 3))
     run("conv2d.depthwise.x", lambda v: ops.tsum(ops.square(ops.conv2d(v, wd, groups=4))), xd)
     run("conv2d.depthwise.w", lambda v: ops.tsum(ops.square(ops.conv2d(xd, v, groups=4))), wd)
-    xg = _t(rng, (2, 6, 5, 5))
-    wg = _t(rng, (4, 3, 3, 3))
-    run("conv2d.grouped.x", lambda v: ops.tsum(ops.square(ops.conv2d(v, wg, groups=2))), xg)
-    run("conv2d.grouped.w", lambda v: ops.tsum(ops.square(ops.conv2d(xg, v, groups=2))), wg)
+    wd5 = _t(rng, (4, 1, 5, 5))
+    run("conv2d.depthwise5", lambda v: ops.tsum(ops.square(ops.conv2d(v, wd5, groups=4))), _t(rng, (2, 4, 6, 6)))
 
     lw, lb, lx = _t(rng, (4, 6)), _t(rng, (4,)), _t(rng, (3, 6))
     run("linear.x", lambda v: ops.tsum(ops.square(ops.linear(v, lw, lb))), lx)

@@ -14,10 +14,11 @@ from .tensor import Tensor
 
 
 class Conv2d:
+    """Stride-1 "same" convolution: dense (groups=1) or depthwise (groups = c_in = c_out)."""
+
     def __init__(self, store: ParamStore, name: str, c_in: int, c_out: int, kernel: int,
-                 stride: int = 1, padding: int | None = None, groups: int = 1, bias: bool = True):
-        self.stride = stride
-        self.padding = kernel // 2 if padding is None else padding
+                 groups: int = 1, bias: bool = True):
+        self.padding = kernel // 2
         self.groups = groups
         cpg = c_in // groups
         self.weight = store.param(f"{name}.weight", (c_out, cpg, kernel, kernel),
@@ -25,7 +26,7 @@ class Conv2d:
         self.bias = store.param(f"{name}.bias", (c_out,)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.conv2d(x, self.weight, self.bias, self.stride, self.padding, self.groups)
+        return ops.conv2d(x, self.weight, self.bias, padding=self.padding, groups=self.groups)
 
 
 class Linear:

@@ -1,13 +1,16 @@
 """Differentiable operations.
 
 Free functions over :class:`~restorekit.tensor.Tensor`; each builds one (or
-a few) tape nodes.  Convolution, softmax, pooling, FFT and pixel shuffles
-are fused nodes with hand-written backwards; norms and small compositions
-reuse the primitives and inherit their gradients.
+a few) tape nodes.  Convolution, softmax, global pooling, FFT and pixel
+shuffles are fused nodes with hand-written backwards; norms and small
+compositions reuse the primitives and inherit their gradients.
 
 Conventions:
-  - conv2d computes cross-correlation (no kernel flip), zero padding,
-    default padding k//2 ("same" for odd k at stride 1).
+  - conv2d computes stride-1 cross-correlation (no kernel flip) with zero
+    padding, default k//2 ("same" for odd k).  It is either dense
+    (groups=1) or depthwise (groups = c_in = c_out), the only two kinds the
+    network uses; one loop over the kernel taps serves both, forward and
+    backward.  The network downsamples with pixel_unshuffle, never a stride.
   - fft2d is the unnormalized forward transform, ifft2d carries the
     1/(h*w) factor, matching ``np.fft``.
 """
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .errors import ConfigError, ShapeError
@@ -312,13 +314,6 @@ def gelu(a) -> Tensor:
     return make_node(data, (a,), backward, "gelu")
 
 
-def activation(a, kind: str) -> Tensor:
-    table = {"relu": relu, "sigmoid": sigmoid, "gelu": gelu}
-    if kind not in table:
-        raise ConfigError(f"unknown activation kind '{kind}'")
-    return table[kind](a)
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     """Shift-stabilised softmax along ``axis``."""
     a = astensor(a)
@@ -381,83 +376,75 @@ def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _conv_windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    if stride > 1:
-        win = win[:, :, ::stride, ::stride]
-    return win
+def _flat_padded(xd: np.ndarray, padding: int, kw: int):
+    """Zero-pad the spatial axes of NCHW ``xd`` and flatten them to one axis.
+
+    Returns the (n, c, plane) array and the padded width ``wp``.  Kernel tap
+    (u, v) then reads the contiguous run ``[u*wp + v, u*wp + v + oh*wp)`` of
+    every channel: output rows are computed at the padded width, and their
+    last kw-1 columns, which wrap into the next row, are cropped.  For kw > 1
+    one extra zero row at the bottom keeps the last tap's run in bounds.
+    """
+    extra = int(kw > 1)
+    if padding or extra:
+        xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding + extra), (padding, padding)))
+    return xd.reshape(xd.shape[0], xd.shape[1], -1), xd.shape[3]
 
 
-def _conv_forward(xd, wd, stride, padding, groups):
+def _conv_forward(xd, wd, padding, depthwise):
+    """Sum over the kernel taps of the shifted padded input times that tap."""
     n, cin, h, w = xd.shape
-    cout, cpg, kh, kw = wd.shape
-    if kh == 1 and kw == 1 and stride == 1 and padding == 0 and groups == 1:
-        out = np.tensordot(xd, wd[:, :, 0, 0], axes=([1], [1]))  # (n,h,w,cout)
-        return out.transpose(0, 3, 1, 2)
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
-    win = _conv_windows(xp, kh, kw, stride)  # (n,cin,oh,ow,kh,kw)
-    if groups == 1:
-        out = np.tensordot(win, wd, axes=([1, 4, 5], [1, 2, 3]))  # (n,oh,ow,cout)
-        return out.transpose(0, 3, 1, 2)
-    if groups == cin and cout == cin:
-        # depthwise: one kernel per channel
-        return np.einsum("ncxyuv,cuv->ncxy", win, wd[:, 0], optimize=True)
-    oh, ow = win.shape[2], win.shape[3]
-    wing = win.reshape(n, groups, cpg, oh, ow, kh, kw)
-    wg = wd.reshape(groups, cout // groups, cpg, kh, kw)
-    out = np.einsum("ngcxyuv,gocuv->ngoxy", wing, wg, optimize=True)
-    return np.ascontiguousarray(out.reshape(n, cout, oh, ow))
+    cout, _, kh, kw = wd.shape
+    xf, wp = _flat_padded(xd, padding, kw)
+    oh, ow = h + 2 * padding - kh + 1, wp - kw + 1
+    run = oh * wp
+    taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # (kh, kw, cout, cin/groups)
+    out = None
+    for u in range(kh):
+        for v in range(kw):
+            win = xf[:, :, u * wp + v:u * wp + v + run]
+            term = win * taps[u, v] if depthwise else taps[u, v] @ win
+            if out is None:
+                out = term
+            else:
+                out += term
+    return out.reshape(n, cout, oh, wp)[:, :, :, :ow]
 
 
-def _conv_backward(xd, wd, g, stride, padding, groups):
+def _conv_backward(xd, wd, g, padding, depthwise):
+    """Input and weight gradients, walking the same taps as the forward."""
     n, cin, h, w = xd.shape
-    cout, cpg, kh, kw = wd.shape
+    cout, _, kh, kw = wd.shape
+    xf, wp = _flat_padded(xd, padding, kw)
     oh, ow = g.shape[2], g.shape[3]
-
-    if kh == 1 and kw == 1 and stride == 1 and padding == 0 and groups == 1:
-        gw = np.einsum("noxy,ncxy->oc", g, xd, optimize=True)[:, :, None, None]
-        gx = np.einsum("noxy,oc->ncxy", g, wd[:, :, 0, 0], optimize=True)
-        return gx, np.ascontiguousarray(gw)
-
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else xd
-    win = _conv_windows(xp, kh, kw, stride)
-    gxp = np.zeros_like(xp)
-
-    if groups == 1:
-        gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))  # (cout,cin,kh,kw)
-        for u in range(kh):
-            for v in range(kw):
-                contrib = np.einsum("noxy,oc->ncxy", g, wd[:, :, u, v], optimize=True)
-                gxp[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += contrib
-    elif groups == cin and cout == cin:
-        gw = np.einsum("ncxyuv,ncxy->cuv", win, g, optimize=True)[:, None]
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += (
-                    g * wd[:, 0, u, v][None, :, None, None]
-                )
-    else:
-        og = cout // groups
-        gg = g.reshape(n, groups, og, oh, ow)
-        wing = win.reshape(n, groups, cpg, oh, ow, kh, kw)
-        wg = wd.reshape(groups, og, cpg, kh, kw)
-        gw = np.einsum("ngcxyuv,ngoxy->gocuv", wing, gg, optimize=True).reshape(wd.shape)
-        gxp_g = gxp.reshape(n, groups, cpg, xp.shape[2], xp.shape[3])
-        for u in range(kh):
-            for v in range(kw):
-                contrib = np.einsum("ngoxy,goc->ngcxy", gg, wg[:, :, :, u, v], optimize=True)
-                gxp_g[:, :, :, u:u + stride * oh:stride, v:v + stride * ow:stride] += contrib
-
-    gx = gxp[:, :, padding:padding + h, padding:padding + w] if padding else gxp
-    return gx, np.ascontiguousarray(gw)
+    run = oh * wp
+    if ow < wp:  # zero gradient on the wrapped columns, so they add nothing
+        g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow)))
+    gf = g.reshape(n, cout, run)
+    taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
+    gtaps = np.empty_like(taps)
+    gxf = np.zeros_like(xf)
+    for u in range(kh):
+        for v in range(kw):
+            tap = slice(u * wp + v, u * wp + v + run)
+            if depthwise:
+                gxf[:, :, tap] += gf * taps[u, v]
+                gtaps[u, v, :, 0] = np.einsum("ncl,ncl->c", gf, xf[:, :, tap])
+            else:
+                gxf[:, :, tap] += taps[u, v].T @ gf
+                gtaps[u, v] = np.einsum("nol,ncl->oc", gf, xf[:, :, tap], optimize=True)
+    gx = gxf.reshape(n, cin, -1, wp)[:, :, padding:padding + h, padding:padding + w]
+    return gx, np.ascontiguousarray(gtaps.transpose(2, 3, 0, 1))
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None, groups: int = 1) -> Tensor:
-    """2-d cross-correlation over NCHW input.
+    """Stride-1 2-d cross-correlation over NCHW input, dense or depthwise.
 
-    weight: (c_out, c_in/groups, k, k).  padding=None means k//2, which is
-    "same" for odd kernels at stride 1.  Output spatial size is
-    (h + 2p - k)//stride + 1.
+    Dense (groups=1): weight (c_out, c_in, k, k).  Depthwise (groups = c_in
+    = c_out): weight (c, 1, k, k), one kernel per channel.  padding=None
+    means k//2, "same" for odd kernels; output size is h + 2p - k + 1.
+    ``stride`` stays in the signature for callers that pass it positionally;
+    anything but 1 raises :class:`ConfigError`, as does any other group count.
     """
     x, weight = astensor(x), astensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -466,15 +453,18 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None, gr
     cout, cpg, kh, kw = weight.shape
     if padding is None:
         padding = kh // 2
-    if groups < 1 or cin % groups or cout % groups:
-        raise ConfigError(f"groups={groups} does not divide c_in={cin} / c_out={cout}")
+    if stride != 1:
+        raise ConfigError(f"conv2d supports stride 1 only, got stride={stride}")
+    if groups != 1 and not groups == cin == cout:
+        raise ConfigError(f"groups={groups} is neither 1 nor depthwise for c_in={cin} / c_out={cout}")
     if cpg != cin // groups:
         raise ShapeError(f"weight expects {cpg * groups} input channels, input has {cin}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
 
     xd, wd = x.data, weight.data
-    data = _conv_forward(xd, wd, stride, padding, groups)
+    depthwise = groups > 1
+    data = _conv_forward(xd, wd, padding, depthwise)
     parents = [x, weight]
     if bias is not None:
         bias = astensor(bias)
@@ -484,7 +474,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None, gr
         parents.append(bias)
 
     def backward(g):
-        gx, gw = _conv_backward(xd, wd, g, stride, padding, groups)
+        gx, gw = _conv_backward(xd, wd, g, padding, depthwise)
         accumulate_grad(x, gx)
         accumulate_grad(weight, gw)
         if bias is not None:
@@ -536,14 +526,6 @@ def mean_std(x) -> Tensor:
         accumulate_grad(x, np.broadcast_to(gx, x.data.shape) if gx.shape != x.data.shape else gx)
 
     return make_node(data, (x,), backward, "mean_std")
-
-
-def pool(x, kind: str) -> Tensor:
-    if kind == "gap":
-        return gap(x)
-    if kind == "mean_std":
-        return mean_std(x)
-    raise ConfigError(f"unknown pool kind '{kind}'")
 
 
 # ---------------------------------------------------------------------------
@@ -650,14 +632,6 @@ def pixel_shuffle(x, r: int) -> Tensor:
         accumulate_grad(x, inv(g))
 
     return make_node(fwd(x.data), (x,), backward, "pixel_shuffle")
-
-
-def resample(x, kind: str, r: int = 2) -> Tensor:
-    if kind == "down":
-        return pixel_unshuffle(x, r)
-    if kind == "up":
-        return pixel_shuffle(x, r)
-    raise ConfigError(f"unknown resample kind '{kind}'")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Define-by-run tape over numpy arrays: every operation in
 :mod:`restorekit.ops` records its parents and a backward closure on the
 output tensor, and :meth:`Tensor.backward` replays the closures in reverse
-topological order.  Graphs are single-use; run a fresh forward pass for
-every backward pass.  Only first-order gradients are supported (backward
-closures work on raw numpy arrays, not tensors).
+topological order.  Graphs are single-use: backward releases each node's
+closure, parents and (for non-leaves) gradient as soon as it has run, and
+a second backward through a consumed node raises :class:`UsageError`; run
+a fresh forward pass for every backward pass.  Only first-order gradients
+are supported (backward closures work on raw numpy arrays, not tensors).
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ def finite_trace():
         yield
     finally:
         _finite_trace = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -103,9 +101,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     # -- backward ------------------------------------------------------
     def backward(self, grad=None):
         """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable leaf.
@@ -134,6 +129,9 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node.requires_grad and node.op != "leaf" and node._backward is None:
+                raise UsageError(f"graph through op '{node.op}' was already consumed by backward(); "
+                                 "run a fresh forward pass")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -141,9 +139,17 @@ class Tensor:
                     stack.append((parent, False))
 
         accumulate_grad(self, grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # Pop in reverse topological order, so each node (and whatever only
+        # its closure kept alive) is released as soon as it has run.
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
+            node.grad = None
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray):

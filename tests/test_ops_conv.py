@@ -8,13 +8,22 @@ from restorekit.errors import ConfigError, ShapeError
 from restorekit.tensor import Tensor
 
 
-def naive_conv2d(x, w, b=None, stride=1, padding=0, groups=1):
+# The four conv kinds the network runs: (x shape, weight shape, groups).
+MODEL_KINDS = {
+    "1x1": ((2, 3, 5, 6), (4, 3, 1, 1), 1),
+    "dense3x3": ((2, 3, 5, 6), (4, 3, 3, 3), 1),
+    "depthwise3x3": ((2, 4, 6, 5), (4, 1, 3, 3), 4),
+    "depthwise5x5": ((2, 4, 6, 5), (4, 1, 5, 5), 4),
+}
+
+
+def naive_conv2d(x, w, b=None, padding=0, groups=1):
     """Direct cross-correlation, plain loops. Slow and obviously correct."""
     n, cin, h, wd_ = x.shape
     cout, cpg, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd_ + 2 * padding - kw) // stride + 1
+    oh = h + 2 * padding - kh + 1
+    ow = wd_ + 2 * padding - kw + 1
     og = cout // groups
     out = np.zeros((n, cout, oh, ow), dtype=x.dtype)
     for ni in range(n):
@@ -26,8 +35,7 @@ def naive_conv2d(x, w, b=None, stride=1, padding=0, groups=1):
                     for ic in range(cpg):
                         for u in range(kh):
                             for v in range(kw):
-                                acc += (xp[ni, g * cpg + ic, oy * stride + u, ox * stride + v]
-                                        * w[oc, ic, u, v])
+                                acc += xp[ni, g * cpg + ic, oy + u, ox + v] * w[oc, ic, u, v]
                     out[ni, oc, oy, ox] = acc
     if b is not None:
         out += b[None, :, None, None]
@@ -43,21 +51,13 @@ def test_identity_kernel_reproduces_input(rng):
     np.testing.assert_allclose(y.data, x, atol=1e-12)
 
 
-def test_matches_naive_oracle_dense(rng):
-    x = rng.normal(size=(2, 3, 5, 5))
-    w = rng.normal(size=(4, 3, 3, 3))
-    b = rng.normal(size=(4,))
-    got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
-    np.testing.assert_allclose(got, naive_conv2d(x, w, b, padding=1), rtol=1e-10, atol=1e-10)
-
-
-def test_matches_naive_oracle_strided_1x1_and_5x5(rng):
-    for k, s, p in [(1, 1, 0), (3, 2, 1), (5, 1, 2), (3, 2, 0)]:
-        x = rng.normal(size=(1, 2, 7, 6))
-        w = rng.normal(size=(3, 2, k, k))
-        got = ops.conv2d(Tensor(x), Tensor(w), stride=s, padding=p).data
-        np.testing.assert_allclose(got, naive_conv2d(x, w, stride=s, padding=p),
-                                   rtol=1e-10, atol=1e-10, err_msg=f"k={k} s={s} p={p}")
+@pytest.mark.parametrize("kind", list(MODEL_KINDS))
+def test_matches_naive_oracle(rng, kind):
+    xs, ws, groups = MODEL_KINDS[kind]
+    x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=(ws[0],))
+    got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), groups=groups).data
+    want = naive_conv2d(x, w, b, padding=ws[2] // 2, groups=groups)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 def test_depthwise_equals_per_channel_correlation(rng):
@@ -68,32 +68,11 @@ def test_depthwise_equals_per_channel_correlation(rng):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
-def test_grouped_matches_naive(rng):
-    x = rng.normal(size=(2, 6, 5, 5))
-    w = rng.normal(size=(4, 3, 3, 3))
-    got = ops.conv2d(Tensor(x), Tensor(w), groups=2).data
-    np.testing.assert_allclose(got, naive_conv2d(x, w, padding=1, groups=2),
-                               rtol=1e-10, atol=1e-10)
-
-
-def test_groups_one_fast_and_generic_paths_agree(rng):
-    # the public op picks fast paths; the generic grouped einsum must agree
-    from restorekit.ops import _conv_forward
-
-    x = rng.normal(size=(2, 3, 6, 6))
-    w = rng.normal(size=(4, 3, 3, 3))
-    fast = _conv_forward(x, w, 1, 1, 1)
-    generic = np.concatenate(
-        [_conv_forward(x, w[i:i + 1], 1, 1, 1) for i in range(4)], axis=1)
-    np.testing.assert_allclose(fast, generic, rtol=1e-10, atol=1e-12)
-
-
 def test_output_geometry():
     x = Tensor(np.zeros((1, 1, 8, 11)))
     w = Tensor(np.zeros((2, 1, 3, 3)))
     assert ops.conv2d(x, w, padding=1).shape == (1, 2, 8, 11)
     assert ops.conv2d(x, w, padding=0).shape == (1, 2, 6, 9)
-    assert ops.conv2d(x, w, stride=2, padding=1).shape == (1, 2, 4, 6)
     # default padding is k//2
     assert ops.conv2d(x, Tensor(np.zeros((2, 1, 5, 5)))).shape == (1, 2, 8, 11)
 
@@ -117,6 +96,12 @@ def test_bad_groups_raise(rng):
     w = Tensor(rng.normal(size=(4, 1, 3, 3)))
     with pytest.raises(ConfigError):
         ops.conv2d(x, w, groups=2)
+    # grouped but not depthwise, and any stride but 1: kinds the network never runs
+    x4 = Tensor(rng.normal(size=(1, 4, 5, 5)))
+    with pytest.raises(ConfigError):
+        ops.conv2d(x4, Tensor(rng.normal(size=(4, 2, 3, 3))), groups=2)
+    with pytest.raises(ConfigError):
+        ops.conv2d(x4, Tensor(rng.normal(size=(2, 4, 3, 3))), stride=2)
 
 
 def test_kernel_larger_than_padded_input_raises(rng):
@@ -126,26 +111,23 @@ def test_kernel_larger_than_padded_input_raises(rng):
         ops.conv2d(x, w, padding=0)
 
 
-def test_backward_matches_naive_numeric(rng):
-    # grad wrt x and w via the naive oracle and explicit FD on a few coords
-    x = rng.normal(size=(1, 2, 5, 5))
-    w = rng.normal(size=(3, 2, 3, 3))
+@pytest.mark.parametrize("kind", list(MODEL_KINDS))
+def test_backward_matches_naive_numeric(rng, kind):
+    # grad wrt x and w via the naive oracle and explicit FD on corner and middle coords
+    xs, ws, groups = MODEL_KINDS[kind]
+    x, w = rng.normal(size=xs), rng.normal(size=ws)
+    p = ws[2] // 2
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    ops.tsum(ops.square(ops.conv2d(xt, wt, stride=2, padding=1))).backward()
+    ops.tsum(ops.square(ops.conv2d(xt, wt, groups=groups))).backward()
     eps = 1e-6
-    for idx in [(0, 0, 0, 0), (0, 1, 2, 3), (0, 1, 4, 4)]:
-        xp = x.copy()
-        xp[idx] += eps
-        xm = x.copy()
-        xm[idx] -= eps
-        fd = (np.sum(naive_conv2d(xp, w, stride=2, padding=1) ** 2)
-              - np.sum(naive_conv2d(xm, w, stride=2, padding=1) ** 2)) / (2 * eps)
-        assert abs(xt.grad[idx] - fd) < 1e-6 * max(1.0, abs(fd))
-    for idx in [(0, 0, 0, 0), (2, 1, 2, 2)]:
-        wp = w.copy()
-        wp[idx] += eps
-        wm = w.copy()
-        wm[idx] -= eps
-        fd = (np.sum(naive_conv2d(x, wp, stride=2, padding=1) ** 2)
-              - np.sum(naive_conv2d(x, wm, stride=2, padding=1) ** 2)) / (2 * eps)
-        assert abs(wt.grad[idx] - fd) < 1e-6 * max(1.0, abs(fd))
+    for arr, grad in ((x, xt.grad), (w, wt.grad)):
+        for flat in (0, arr.size // 2, arr.size - 1):
+            idx = np.unravel_index(flat, arr.shape)
+            keep = arr[idx]
+            arr[idx] = keep + eps
+            fp = np.sum(naive_conv2d(x, w, padding=p, groups=groups) ** 2)
+            arr[idx] = keep - eps
+            fm = np.sum(naive_conv2d(x, w, padding=p, groups=groups) ** 2)
+            arr[idx] = keep
+            fd = (fp - fm) / (2 * eps)
+            assert abs(grad[idx] - fd) < 1e-6 * max(1.0, abs(fd)), (idx, grad[idx], fd)

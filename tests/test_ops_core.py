@@ -52,13 +52,6 @@ def test_sigmoid_stable_at_extremes():
     assert s[1] == 1.0
 
 
-def test_activation_dispatch_and_unknown_kind():
-    x = Tensor(np.array([1.0]))
-    np.testing.assert_array_equal(ops.activation(x, "relu").data, ops.relu(x).data)
-    with pytest.raises(ConfigError):
-        ops.activation(x, "swish")
-
-
 # -- softmax -----------------------------------------------------------------
 
 def test_softmax_uniform_and_extreme():
@@ -209,14 +202,6 @@ def test_mean_std_matches_scalar_accumulation_oracle(rng):
             assert abs(ms[n, 3 + c] - np.sqrt(var)) < 1e-10
 
 
-def test_pool_dispatch(rng):
-    x = Tensor(rng.normal(size=(1, 2, 3, 3)))
-    assert ops.pool(x, "gap").shape == (1, 2)
-    assert ops.pool(x, "mean_std").shape == (1, 4)
-    with pytest.raises(ConfigError):
-        ops.pool(x, "max")
-
-
 # -- shape ops / resampling ------------------------------------------------------
 
 def test_concat_chunk_roundtrip(rng):
@@ -245,22 +230,11 @@ def test_pixel_shuffle_inverts_unshuffle_bitwise(rng):
     np.testing.assert_array_equal(w, z)
 
 
-def test_resample_preserves_element_count(rng):
-    x = Tensor(rng.normal(size=(1, 4, 6, 6)))
-    down = ops.resample(x, "down")
-    up = ops.resample(x, "up")
-    assert down.size == x.size == up.size
-    assert down.shape == (1, 16, 3, 3)
-    assert up.shape == (1, 1, 12, 12)
-
-
 def test_resample_shape_errors(rng):
     with pytest.raises(ShapeError):
         ops.pixel_unshuffle(Tensor(rng.normal(size=(1, 1, 5, 4))), 2)
     with pytest.raises(ShapeError):
         ops.pixel_shuffle(Tensor(rng.normal(size=(1, 6, 2, 2))), 2)
-    with pytest.raises(ConfigError):
-        ops.resample(Tensor(rng.normal(size=(1, 4, 4, 4))), "sideways")
 
 
 def test_l2_normalize_unit_norm(rng):

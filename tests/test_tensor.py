@@ -100,3 +100,35 @@ def test_graph_is_fresh_per_forward(rng):
         x.grad = None
         ops.tsum(ops.square(x)).backward()
         np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-12)
+
+
+def test_second_backward_on_consumed_graph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    loss = ops.tsum(ops.square(ops.mul(x, 3.0)))
+    loss.backward()
+    np.testing.assert_allclose(x.grad, [18.0, 36.0])
+    with pytest.raises(UsageError, match="consumed"):
+        loss.backward()
+    np.testing.assert_allclose(x.grad, [18.0, 36.0])
+    # a fresh forward pass gives a fresh graph
+    x.grad = None
+    ops.tsum(ops.square(ops.mul(x, 3.0))).backward()
+    np.testing.assert_allclose(x.grad, [18.0, 36.0])
+
+
+def test_backward_through_a_consumed_subgraph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = ops.mul(x, 3.0)
+    ops.tsum(ops.square(y)).backward()
+    with pytest.raises(UsageError, match="'mul'"):
+        ops.tsum(y).backward()
+
+
+def test_backward_releases_the_tape_but_keeps_leaf_grads():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = ops.square(x)
+    loss = ops.tsum(y)
+    loss.backward()
+    for node in (y, loss):
+        assert node.grad is None and node._backward is None and node._parents == ()
+    np.testing.assert_allclose(x.grad, [2.0, 4.0])
