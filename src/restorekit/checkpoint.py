@@ -5,11 +5,19 @@ the payload) alongside the model config and optional training state, so a
 checkpoint can be inspected with nothing but a JSON reader.  Payload bytes
 are written in manifest order with no padding; loading is exact, so
 save -> load -> forward is bit-identical.
+
+Saves are atomic per file and ordered: the payload goes to a temp file that
+replaces ``<stem>.bin``, then the manifest replaces ``<stem>.json`` the same
+way, so the manifest is the commit point.  The manifest carries the CRC-32
+of the payload, and a load whose payload does not match it raises, so a
+save that died between the two files never loads as a mixed pair.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -28,32 +36,44 @@ def _stem(path) -> Path:
     return p
 
 
+def _replace_with(path: Path, chunks):
+    """Write ``chunks`` to a sibling temp file, then move it onto ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict,
                     train_state: dict | None = None) -> Path:
-    """Write ``<stem>.json`` and ``<stem>.bin``; returns the stem path."""
+    """Write ``<stem>.bin`` and then ``<stem>.json``; returns the stem path."""
     stem = _stem(path)
     stem.parent.mkdir(parents=True, exist_ok=True)
     entries = []
-    offset = 0
     chunks = []
+    offset = 0
+    crc = 0
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         if arr.dtype not in _CODES_BY_KIND:
             raise DataError(f"tensor '{name}' has unsupported dtype {arr.dtype}")
         code = _CODES_BY_KIND[arr.dtype]
-        raw = arr.astype(_DTYPE_CODES[code], copy=False).tobytes()
+        raw = arr.astype(_DTYPE_CODES[code], copy=False).reshape(-1).view(np.uint8)
         entries.append({"name": name, "shape": list(arr.shape), "dtype": code, "offset": offset})
-        offset += len(raw)
+        offset += raw.size
+        crc = zlib.crc32(raw, crc)
         chunks.append(raw)
+    _replace_with(stem.with_suffix(".bin"), chunks)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": config,
         "train_state": train_state,
         "payload_bytes": offset,
+        "payload_crc32": crc,
         "tensors": entries,
     }
-    stem.with_suffix(".json").write_text(json.dumps(manifest, indent=1))
-    stem.with_suffix(".bin").write_bytes(b"".join(chunks))
+    _replace_with(stem.with_suffix(".json"), [json.dumps(manifest, indent=1).encode()])
     return stem
 
 
@@ -75,6 +95,9 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     declared = manifest.get("payload_bytes")
     if declared is not None and declared != len(payload):
         raise DataError(f"payload is {len(payload)} bytes, manifest declares {declared}")
+    crc = manifest.get("payload_crc32")
+    if crc is not None and crc != zlib.crc32(payload):
+        raise DataError(f"payload {bpath} does not match the CRC-32 in {mpath}")
     arrays = {}
     for entry in manifest["tensors"]:
         code = entry["dtype"]

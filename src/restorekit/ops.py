@@ -11,12 +11,18 @@ Conventions:
     (groups=1) or depthwise (groups = c_in = c_out), the only two kinds the
     network uses; one loop over the kernel taps serves both, forward and
     backward.  The network downsamples with pixel_unshuffle, never a stride.
+  - Ops keep the dtype of their tensor operands: a float32 graph computes
+    and differentiates in float32, a float64 graph in float64.  A Python
+    or numpy scalar passed to add, sub, mul or div adopts the dtype of the
+    float tensor on the other side, so a constant never promotes a float32
+    map to float64.
   - fft2d is the unnormalized forward transform, ifft2d carries the
     1/(h*w) factor, matching ``np.fft``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +31,8 @@ from scipy.special import erf
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, accumulate_grad, astensor, make_node
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -46,8 +52,19 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # arithmetic
 # ---------------------------------------------------------------------------
 
+def _operands(a, b):
+    """Wrap a binary op's operands; a bare scalar takes a float tensor's dtype."""
+    def wrap(x, other):
+        if (not isinstance(x, Tensor) and isinstance(other, Tensor)
+                and other.data.dtype.kind == "f" and np.ndim(x) == 0):
+            return astensor(x, other.data.dtype)
+        return astensor(x)
+
+    return wrap(a, b), wrap(b, a)
+
+
 def add(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
+    a, b = _operands(a, b)
     data = a.data + b.data
 
     def backward(g):
@@ -58,7 +75,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
+    a, b = _operands(a, b)
     data = a.data - b.data
 
     def backward(g):
@@ -69,7 +86,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
+    a, b = _operands(a, b)
     data = a.data * b.data
 
     def backward(g):
@@ -80,7 +97,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
+    a, b = _operands(a, b)
     data = a.data / b.data
 
     def backward(g):

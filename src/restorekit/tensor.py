@@ -13,41 +13,39 @@ are supported (backward closures work on raw numpy arrays, not tensors).
 from __future__ import annotations
 
 import contextlib
+import contextvars
 
 import numpy as np
 
 from .errors import NumericsError, UsageError
 
-_grad_enabled = True
-_finite_trace = False
+# Per thread (and per asyncio task): no_grad() in one thread leaves
+# recording on in every other.
+_grad_enabled = contextvars.ContextVar("restorekit_grad_enabled", default=True)
+_finite_trace = contextvars.ContextVar("restorekit_finite_trace", default=False)
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (inference, finite differences)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+def _switched(flag: contextvars.ContextVar, value: bool):
+    token = flag.set(value)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        flag.reset(token)
 
 
-@contextlib.contextmanager
+def no_grad():
+    """Disable graph recording inside the block (inference, finite differences)."""
+    return _switched(_grad_enabled, False)
+
+
 def finite_trace():
     """Raise :class:`NumericsError` naming the first op emitting a non-finite value.
 
     Used to localise NaN/inf blow-ups: re-run the failing forward pass under
     this context and the exception points at the producing operation.
     """
-    global _finite_trace
-    prev = _finite_trace
-    _finite_trace = True
-    try:
-        yield
-    finally:
-        _finite_trace = prev
+    return _switched(_finite_trace, True)
 
 
 class Tensor:
@@ -173,9 +171,9 @@ def make_node(data, parents, backward, op: str) -> Tensor:
     """Create an op output, wiring it into the tape if grads are live."""
     out = Tensor(data)
     out.op = op
-    if _finite_trace and not np.all(np.isfinite(out.data)):
+    if _finite_trace.get() and not np.all(np.isfinite(out.data)):
         raise NumericsError(f"non-finite values produced by op '{op}' with output shape {out.data.shape}")
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

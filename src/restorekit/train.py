@@ -10,6 +10,7 @@ resulting NumericsError names the first offending op.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -64,7 +65,7 @@ def cosine_lr(t: int, total: int, lr0: float, lr_min: float) -> float:
     if total < 1:
         raise ConfigError("schedule length must be positive")
     t = min(max(t, 0), total)
-    return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + np.cos(np.pi * t / total))
+    return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * t / total))
 
 
 class OptimizerState:

@@ -10,6 +10,7 @@ from restorekit.model import (ModelConfig, RestorationModel, ablation_variants,
                               config_by_name, config_from_dict, config_to_dict,
                               full_config, small_config, tiny_config)
 from restorekit.tensor import Tensor
+from restorekit.train import l1_fourier_loss
 
 FULL_TARGET = 30_860_000
 SMALL_TARGET = 13_850_000
@@ -44,11 +45,35 @@ def test_skip_fusion_overhead_under_two_percent():
     assert 0 < overhead <= 0.02, overhead
 
 
-def test_forward_shape_and_dtype(tiny):
-    x = np.random.default_rng(0).normal(size=(2, 3, 64, 64))
-    y = tiny(Tensor(x))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_shape_and_dtype(dtype):
+    model = RestorationModel(tiny_config(), dtype=dtype)
+    x = np.random.default_rng(0).normal(size=(2, 3, 64, 64)).astype(dtype)
+    y = model(Tensor(x))
     assert y.shape == (2, 3, 64, 64)
-    assert y.data.dtype == np.float64
+    assert y.data.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_loss_backward_stay_in_store_dtype(dtype):
+    """No constant may promote the tape: every node and gradient keeps the store's dtype."""
+    model = RestorationModel(tiny_config(seed=2), dtype=dtype)
+    rng = np.random.default_rng(6)
+    x = rng.random((2, 3, 32, 32)).astype(dtype)
+    y = rng.random((2, 3, 32, 32)).astype(dtype)
+    loss = l1_fourier_loss(model(x), Tensor(y), 0.1)
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    promoted = sorted({n.op for n in nodes if n.data.dtype != dtype})
+    assert not promoted, promoted
+    loss.backward()
+    wrong = [n for n, p in model.store.items() if p.grad is None or p.grad.dtype != dtype]
+    assert not wrong, wrong
 
 
 def test_forward_rejects_bad_shapes(tiny):

@@ -52,6 +52,21 @@ def test_sigmoid_stable_at_extremes():
     assert s[1] == 1.0
 
 
+@pytest.mark.parametrize("op", [
+    lambda x: ops.add(x, 1e-5),
+    lambda x: ops.mul(0.5, x),
+    lambda x: ops.div(x, np.float64(3.0)),
+    lambda x: ops.sub(1.0, x),
+    ops.gelu,
+], ids=["add-scalar", "scalar-mul", "div-np-float64", "scalar-sub", "gelu"])
+def test_scalar_operands_keep_float32(op, rng):
+    x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+    y = op(x)
+    assert y.data.dtype == np.float32
+    ops.tsum(y).backward()
+    assert x.grad.dtype == np.float32
+
+
 # -- softmax -----------------------------------------------------------------
 
 def test_softmax_uniform_and_extreme():

@@ -1,5 +1,8 @@
 """Tape mechanics: recording, backward traversal, broadcasting, modes."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,58 @@ def test_no_grad_blocks_recording(rng):
     with no_grad():
         y = ops.tsum(ops.square(x))
     assert not y.requires_grad and y._backward is None
+
+
+def test_no_grad_in_one_thread_leaves_other_threads_recording(rng):
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with no_grad():
+            entered.set()
+            release.wait(10)
+
+    worker = threading.Thread(target=hold)
+    worker.start()
+    try:
+        assert entered.wait(10)
+        x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        y = ops.tsum(ops.square(x))
+        assert y.requires_grad and y._backward is not None
+    finally:
+        release.set()
+        worker.join(10)
+    assert not worker.is_alive()
+
+
+def test_grad_mode_survives_interleaved_threads():
+    """Threads entering and leaving no_grad() concurrently never see each other's mode."""
+    errors = []
+    start = threading.Barrier(4, timeout=10)
+
+    def churn():
+        x = Tensor(np.ones(2), requires_grad=True)
+        start.wait()
+        for i in range(500):
+            if i % 2:
+                with no_grad():
+                    recorded = ops.square(x).requires_grad
+                if recorded:
+                    errors.append("recorded under no_grad")
+            elif not ops.square(x).requires_grad:
+                errors.append("not recorded outside no_grad")
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert not errors, errors[:3]
 
 
 def test_detach_cuts_graph(rng):

@@ -1,5 +1,7 @@
 """Loss, optimizer, schedule, training loop determinism and resume."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,11 @@ def test_cosine_schedule_endpoints_and_midpoint():
     assert cosine_lr(100, 100, 1e-3, 1e-6) == pytest.approx(1e-6)
     assert cosine_lr(50, 100, 1e-3, 1e-6) == pytest.approx((1e-3 + 1e-6) / 2)
     assert cosine_lr(500, 100, 1e-3, 1e-6) == pytest.approx(1e-6)  # clamps past end
+
+
+def test_cosine_schedule_returns_a_python_float():
+    # a numpy float64 here would make adam_step build float64 updates
+    assert type(cosine_lr(7, 50, 1e-3, 1e-6)) is float
 
 
 def test_cosine_schedule_is_monotone_decreasing():
@@ -210,6 +217,41 @@ def test_checkpoint_rejects_corruption(tmp_path, rng):
         load_checkpoint(stem)
     with pytest.raises(DataError, match="not found"):
         load_checkpoint(tmp_path / "missing")
+
+
+def test_checkpoint_rejects_payload_with_wrong_checksum(tmp_path, rng):
+    stem = save_checkpoint(tmp_path / "ck", {"a": rng.normal(size=(4,))}, {})
+    payload = bytearray((tmp_path / "ck.bin").read_bytes())
+    payload[5] ^= 0x01
+    (tmp_path / "ck.bin").write_bytes(bytes(payload))
+    with pytest.raises(DataError, match="CRC-32"):
+        load_checkpoint(stem)
+
+
+@pytest.mark.parametrize("fail_on", [".bin", ".json"])
+def test_interrupted_save_never_loads_a_mixed_pair(tmp_path, monkeypatch, fail_on):
+    first = {"a": np.arange(6.0), "b": np.ones(3, dtype=np.float32)}
+    second = {"a": np.arange(6.0) + 1.0, "b": np.zeros(3, dtype=np.float32)}
+    stem = save_checkpoint(tmp_path / "ck", first, {}, {"step": 1})
+    real_replace = os.replace
+
+    def crash(src, dst):
+        if str(dst).endswith(fail_on):
+            raise OSError("simulated crash")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated"):
+        save_checkpoint(stem, second, {}, {"step": 2})
+    monkeypatch.undo()
+    # same sizes, so only the checksum can tell the pair apart
+    try:
+        manifest, back = load_checkpoint(stem)
+    except DataError:
+        return
+    assert manifest["train_state"] == {"step": 1}
+    for name, arr in first.items():
+        np.testing.assert_array_equal(back[name], arr)
 
 
 def test_checkpoint_rejects_unsupported_dtype(tmp_path):
