@@ -120,18 +120,23 @@ def _merge_options(ns: argparse.Namespace, defaults: dict) -> dict:
             raise ConfigError(f"config file {config_path}: invalid JSON ({e})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {config_path}: expected a JSON object")
+        # each value must pass what its flag would: type (JSON true/false are
+        # not numbers, though Python takes them as 1/0) and argparse choices
+        subcommands = next(a for a in _build_parser()._actions if a.dest == "command")
+        actions = {a.dest: a for a in subcommands.choices[ns.command]._actions}
         for key, value in raw.items():
             if key not in defaults:
                 raise ConfigError(f"config file {config_path}: unknown field '{key}'")
-            want = defaults[key]
-            if want is not None and value is not None:
-                ok = isinstance(value, bool) if isinstance(want, bool) else (
-                    isinstance(value, (int, float)) if isinstance(want, float) else
-                    isinstance(value, int) if isinstance(want, int) else
-                    isinstance(value, str))
-                if not ok:
+            action, want = actions[key], defaults[key]
+            want = type(want) if want is not None else action.type or str
+            if value is not None:
+                if (not isinstance(value, (int, float) if want is float else want)
+                        or isinstance(value, bool) and want is not bool):
                     raise ConfigError(f"config file {config_path}: field '{key}' expects "
-                                      f"{type(want).__name__}, got {type(value).__name__}")
+                                      f"{want.__name__}, got {type(value).__name__}")
+                if action.choices and value not in action.choices:
+                    raise ConfigError(f"config file {config_path}: field '{key}' must be one of "
+                                      f"{', '.join(map(str, action.choices))}, got {value!r}")
             merged[key] = value
     merged.update(given)
     return merged

@@ -16,14 +16,17 @@ Conventions:
     or numpy scalar passed to add, sub, mul or div adopts the dtype of the
     float tensor on the other side, so a constant never promotes a float32
     map to float64.
-  - fft2d is the unnormalized forward transform, ifft2d carries the
-    1/(h*w) factor, matching ``np.fft``.
+  - A spectrum is one real NCHW tensor: fft2d maps (n, c, h, w) to
+    (n, 2c, h, w) with the real parts in channels [0, c) and the imaginary
+    parts in [c, 2c), the layout mean_std uses for its two statistics, and
+    ifft2d takes that layout back to (n, c, h, w).  fft2d is the
+    unnormalized forward transform, ifft2d carries the 1/(h*w) factor,
+    matching ``np.fft``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -509,13 +512,7 @@ def gap(x) -> Tensor:
     x = astensor(x)
     if x.ndim != 4:
         raise ShapeError("gap expects 4-d input")
-    n, c, h, w = x.shape
-    data = x.data.mean(axis=(2, 3))
-
-    def backward(g):
-        accumulate_grad(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).copy())
-
-    return make_node(data, (x,), backward, "gap")
+    return tmean(x, axis=(2, 3))
 
 
 def mean_std(x) -> Tensor:
@@ -549,56 +546,47 @@ def mean_std(x) -> Tensor:
 # Fourier transforms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ComplexMap:
-    """Real/imaginary planes of a 2-d spectrum, each an NCHW tensor."""
+def fft2d(x) -> Tensor:
+    """Unnormalized 2-d DFT over the spatial axes of NCHW input, as (n, 2c, h, w).
 
-    real: Tensor
-    imag: Tensor
-
-    @property
-    def shape(self):
-        return self.real.shape
-
-
-def fft2d(x) -> ComplexMap:
-    """Unnormalized 2-d DFT over the spatial axes of NCHW input.
-
-    For real input x, d(sum L)/dx = Re(F g_re) + Im(F g_im) with F the
-    forward transform, since F is symmetric (F^T = F).
+    Channels [0, c) hold the real parts and [c, 2c) the imaginary parts.
+    For real input x and a gradient [g_re; g_im] on the output,
+    d(sum L)/dx = Re(F g_re) + Im(F g_im) = Re(F(g_re - i g_im)) with F the
+    forward transform, since F is symmetric (F^T = F): one FFT per backward.
     """
     x = astensor(x)
     if x.ndim != 4:
         raise ShapeError("fft2d expects 4-d input")
-    spec = np.fft.fft2(x.data, axes=(-2, -1))
+    c = x.shape[1]
     dt = x.data.dtype
+    spec = np.fft.fft2(x.data, axes=(-2, -1))
+    data = np.concatenate([spec.real, spec.imag], axis=1, dtype=dt)
 
-    def backward_re(g):
-        accumulate_grad(x, np.fft.fft2(g, axes=(-2, -1)).real.astype(dt, copy=False))
+    def backward(g):
+        gz = np.fft.fft2(g[:, :c] - 1j * g[:, c:], axes=(-2, -1))
+        accumulate_grad(x, gz.real.astype(dt, copy=False))
 
-    def backward_im(g):
-        accumulate_grad(x, np.fft.fft2(g, axes=(-2, -1)).imag.astype(dt, copy=False))
-
-    real = make_node(spec.real.astype(dt, copy=False), (x,), backward_re, "fft2d.re")
-    imag = make_node(spec.imag.astype(dt, copy=False), (x,), backward_im, "fft2d.im")
-    return ComplexMap(real, imag)
+    return make_node(data, (x,), backward, "fft2d")
 
 
-def ifft2d(spec: ComplexMap) -> Tensor:
-    """Real part of the normalized inverse 2-d DFT of a ComplexMap."""
-    re, im = spec.real, spec.imag
-    if re.shape != im.shape:
-        raise ShapeError("ifft2d: real/imag shapes differ")
-    z = re.data + 1j * im.data
-    data = np.fft.ifft2(z, axes=(-2, -1)).real
-    dt = re.data.dtype
+def ifft2d(z) -> Tensor:
+    """Real part of the normalized inverse 2-d DFT of a stacked spectrum.
+
+    z is (n, 2c, h, w) in fft2d's layout (real parts, then imaginary
+    parts); the result is (n, c, h, w).
+    """
+    z = astensor(z)
+    if z.ndim != 4 or z.shape[1] % 2:
+        raise ShapeError(f"ifft2d expects (n, 2c, h, w) stacked real/imag planes, got {z.shape}")
+    c = z.shape[1] // 2
+    dt = z.data.dtype
+    data = np.fft.ifft2(z.data[:, :c] + 1j * z.data[:, c:], axes=(-2, -1)).real
 
     def backward(g):
         gz = np.fft.ifft2(g, axes=(-2, -1))
-        accumulate_grad(re, gz.real.astype(dt, copy=False))
-        accumulate_grad(im, (-gz.imag).astype(dt, copy=False))
+        accumulate_grad(z, np.concatenate([gz.real, -gz.imag], axis=1, dtype=dt))
 
-    return make_node(data.astype(dt, copy=False), (re, im), backward, "ifft2d")
+    return make_node(data.astype(dt, copy=False), (z,), backward, "ifft2d")
 
 
 # ---------------------------------------------------------------------------

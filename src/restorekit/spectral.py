@@ -1,8 +1,10 @@
 """Dual-domain bottleneck: spatial conv branch plus a gated frequency branch.
 
-The frequency branch transforms the latent to the Fourier domain, mixes
-real/imaginary planes with a single 1x1 conv, scales each mixed plane by a
-prompt-conditioned sigmoid, and returns via the inverse transform.  The
+The frequency branch transforms the latent to the Fourier domain, where
+``ops.fft2d`` stacks the c real planes and then the c imaginary planes into
+one (n, 2c, h, w) tensor.  A single 1x1 conv mixes those 2c planes, a
+prompt-conditioned sigmoid scales each mixed plane, and the inverse
+transform reads the first c planes as real and the last c as imaginary.  The
 mixing conv is bias-free, so for a fixed gate the whole spectral path is
 linear in the input (additive and homogeneous), which the tests rely on.
 """
@@ -32,14 +34,9 @@ class DualDomainBottleneck:
         return ops.sigmoid(self.gate(p_global))
 
     def frequency_branch(self, x: Tensor, p_global: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        spec = ops.fft2d(x)
-        z = ops.concat([spec.real, spec.imag], axis=1)  # (n, 2c, h, w)
-        z = self.mix(z)
-        m = ops.reshape(self.frequency_gate(p_global), (n, 2 * c, 1, 1))
-        z = ops.mul(z, m)
-        re, im = ops.chunk(z, 2, axis=1)
-        return ops.ifft2d(ops.ComplexMap(re, im))
+        n, c = x.shape[:2]
+        gate = ops.reshape(self.frequency_gate(p_global), (n, 2 * c, 1, 1))
+        return ops.ifft2d(ops.mul(self.mix(ops.fft2d(x)), gate))
 
     def __call__(self, x: Tensor, p_global: Tensor) -> Tensor:
         y_spa = self.spatial_branch(x)

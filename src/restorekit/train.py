@@ -49,15 +49,15 @@ class TrainConfig:
 
 
 def l1_fourier_loss(pred: Tensor, target: Tensor, weight: float = 0.1) -> Tensor:
-    """mean|pred - target| + weight * (mean|dRe| + mean|dIm|) over the spectrum."""
+    """mean|pred - target| + weight * (mean|dRe| + mean|dIm|) over the spectrum.
+
+    The mean over fft2d's stacked [Re; Im] planes is half that sum, hence 2 * weight.
+    """
     pixel = ops.tmean(ops.absolute(ops.sub(pred, target)))
     if weight == 0:
         return pixel
-    sp = ops.fft2d(pred)
-    st = ops.fft2d(target)
-    spectral = ops.add(ops.tmean(ops.absolute(ops.sub(sp.real, st.real))),
-                       ops.tmean(ops.absolute(ops.sub(sp.imag, st.imag))))
-    return ops.add(pixel, ops.mul(spectral, weight))
+    spectral = ops.tmean(ops.absolute(ops.sub(ops.fft2d(pred), ops.fft2d(target))))
+    return ops.add(pixel, ops.mul(spectral, 2 * weight))
 
 
 def cosine_lr(t: int, total: int, lr0: float, lr_min: float) -> float:
@@ -128,13 +128,26 @@ def _stack_batch(pairs, idxs, dtype):
     return xs, ys
 
 
+def _truncate_report(path: Path, start_step: int):
+    """Keep the records of steps before ``start_step``.
+
+    A run that died after its last checkpoint logged later steps, the last
+    record possibly torn (every complete record ends in a newline).
+    """
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines
+                            if line.endswith("\n") and json.loads(line)["step"] < start_step))
+
+
 def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
                log=None) -> TrainingReport:
     """Run (or continue) a training run to cfg.steps total optimizer steps.
 
     pairs: list of (degraded, clean) CHW arrays.  out_dir (optional) gets
     report.jsonl plus ckpt_final and any periodic checkpoints.  resume: a
-    checkpoint stem written by a previous run with the same configs.
+    checkpoint stem written by a previous run with the same configs; the
+    report then keeps the records before the checkpoint's step, so each
+    step appears once.
     """
     cfg.validate()
     if not pairs:
@@ -161,8 +174,8 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "report.jsonl"
-        if start_step == 0 and report_path.exists():
-            report_path.unlink()
+        if report_path.exists():
+            _truncate_report(report_path, start_step)
 
     def snapshot(tag: str, step: int) -> Path:
         train_state = {"step": step, "rng_state": rng.bit_generator.state,

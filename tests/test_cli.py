@@ -150,6 +150,21 @@ def test_config_file_wrong_type_exits_two(tmp_path, capsys):
     assert "steps" in err and "int" in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("precision", "f16"),      # outside the flag's choices
+    ("lr0", True),             # JSON booleans are not numbers
+    ("steps", True),
+    ("sigma", False),          # a float field with no built-in default
+])
+def test_config_file_value_the_flag_would_reject_exits_two(tmp_path, capsys, field, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"steps": 1, "count": 2, "holdout": 0, "patch": 16,
+                               "batch": 1, field: value}))
+    assert run(["train", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_file_invalid_json_exits_two(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{")

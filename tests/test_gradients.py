@@ -29,8 +29,8 @@ def test_conv_square_loss_gradient(rng):
 
 def test_fft_magnitude_loss_gradient(rng):
     def loss(t):
-        spec = ops.fft2d(t)
-        mag = ops.sqrt(ops.square(spec.real) + ops.square(spec.imag) + 1e-8)
+        re, im = ops.chunk(ops.fft2d(t), 2, axis=1)
+        mag = ops.sqrt(ops.square(re) + ops.square(im) + 1e-8)
         return ops.tsum(mag)
 
     err = gradcheck.finite_diff_check(loss, t64(rng, (1, 1, 5, 5)))
@@ -47,19 +47,6 @@ def test_module_report_covers_the_four_modules():
 def test_model_gradient_spot_check():
     err = gradcheck.check_model(seed=0, samples=60)
     assert err < gradcheck.MODEL_TOL, err
-
-
-def test_sampled_indices_are_deterministic(rng):
-    x = rng.normal(size=(4, 4))
-
-    def loss(t):
-        return ops.tsum(ops.square(t))
-
-    e1 = gradcheck.finite_diff_check(loss, Tensor(x.copy(), requires_grad=True),
-                                     sample=5, rng=np.random.default_rng(7))
-    e2 = gradcheck.finite_diff_check(loss, Tensor(x.copy(), requires_grad=True),
-                                     sample=5, rng=np.random.default_rng(7))
-    assert e1 == e2
 
 
 def test_checker_rejects_non_scalar_and_frozen_inputs(rng):
@@ -85,6 +72,6 @@ def test_checker_flags_a_planted_gradient_bug(rng):
 def test_primitive_report_covers_the_op_set():
     report = gradcheck.check_primitives(0)
     assert len(report) >= 25
-    for probe in ("conv2d.x", "conv2d.1x1", "conv2d.depthwise.x", "conv2d.depthwise5", "fft2d",
+    for probe in ("conv2d.x", "conv2d.1x1", "conv2d.depthwise.x", "conv2d.depthwise5", "fft2d", "ifft2d",
                   "softmax", "normalize.layer", "div.denominator"):
         assert probe in report

@@ -43,6 +43,19 @@ def test_zero_input_maps_to_zero_in_frequency_branch(rng):
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
+def test_frequency_branch_records_no_split_or_merge_nodes(rng):
+    store, dd = build()
+    out = dd.frequency_branch(Tensor(rng.normal(size=(1, 4, 6, 6))),
+                              Tensor(rng.normal(size=(1, 6))))
+    ops_seen, stack = [], [out]
+    while stack:
+        node = stack.pop()
+        ops_seen.append(node.op)
+        stack.extend(node._parents)
+    assert "concat" not in ops_seen and "narrow" not in ops_seen
+    assert ops_seen.count("fft2d") == 1 and ops_seen.count("ifft2d") == 1
+
+
 def test_gate_strictly_inside_unit_interval(rng):
     store, dd = build()
     g = dd.frequency_gate(Tensor(rng.normal(size=(64, 6)) * 3)).data
@@ -58,10 +71,7 @@ def test_gate_saturation_limits(rng):
     open_out = dd.frequency_branch(Tensor(x), p).data
 
     # with the gate pinned open, the branch is ifft(mix(fft(x))) exactly
-    spec = ops.fft2d(Tensor(x))
-    z = dd.mix(ops.concat([spec.real, spec.imag], axis=1))
-    re, im = ops.chunk(z, 2, axis=1)
-    want = ops.ifft2d(ops.ComplexMap(re, im)).data
+    want = ops.ifft2d(dd.mix(ops.fft2d(Tensor(x)))).data
     np.testing.assert_allclose(open_out, want, rtol=1e-6, atol=1e-9)
 
     dd.gate.bias.data[:] = -20.0

@@ -1,5 +1,6 @@
 """Loss, optimizer, schedule, training loop determinism and resume."""
 
+import json
 import os
 
 import numpy as np
@@ -41,6 +42,16 @@ def test_loss_weight_zero_is_pixel_only(rng):
     pixel = float(np.mean(np.abs(p.data - t.data)))
     assert float(l1_fourier_loss(p, t, 0.0).data) == pytest.approx(pixel, rel=1e-12)
     assert float(l1_fourier_loss(p, t, 0.1).data) > pixel
+
+
+def test_loss_matches_numpy_real_and_imaginary_terms(rng):
+    p = rng.normal(size=(2, 3, 8, 6))
+    t = rng.normal(size=(2, 3, 8, 6))
+    d = np.fft.fft2(p, axes=(-2, -1)) - np.fft.fft2(t, axes=(-2, -1))
+    lam = 0.3
+    want = np.mean(np.abs(p - t)) + lam * (np.mean(np.abs(d.real)) + np.mean(np.abs(d.imag)))
+    got = float(l1_fourier_loss(Tensor(p), Tensor(t), lam).data)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_loss_is_differentiable(rng):
@@ -158,6 +169,19 @@ def test_resume_reproduces_uninterrupted_trajectory(tmp_path):
                       resume=tmp_path / "full" / "ckpt_step000003")
     assert len(cont.losses) == 3
     np.testing.assert_allclose(cont.losses, full.losses[3:], rtol=0, atol=1e-6)
+
+
+def test_resume_logs_each_step_once(tmp_path):
+    """A crash after the step-2 checkpoint left steps 2-3 in the report."""
+    pairs = small_pairs()
+    train_loop(quick_model(), pairs, quick_cfg(steps=4, checkpoint_every=2), out_dir=tmp_path)
+    report = tmp_path / "report.jsonl"
+    with report.open("a") as fh:
+        fh.write('{"step": 3, "lr": 0.1, "lo')  # torn by the crash
+    train_loop(quick_model(), pairs, quick_cfg(steps=4), out_dir=tmp_path,
+               resume=tmp_path / "ckpt_step000002")
+    steps = [json.loads(line)["step"] for line in report.read_text().splitlines()]
+    assert steps == [0, 1, 2, 3]
 
 
 def test_resume_requires_training_state(tmp_path):
