@@ -21,8 +21,6 @@ from .tensor import Tensor
 class GatedSkipFusion:
     def __init__(self, store: ParamStore, name: str, channels: int,
                  gn_groups: int = 4, se_reduction: int = 4):
-        if channels % gn_groups:
-            raise ConfigError(f"{gn_groups} norm groups do not divide {channels} channels")
         squeezed = (2 * channels) // se_reduction
         mid = max(channels // 4, 1)
         if squeezed < 1:

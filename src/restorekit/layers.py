@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
+from .errors import ConfigError, ShapeError
 from .params import ParamStore
 from .tensor import Tensor
 
@@ -48,17 +49,23 @@ class LayerNorm:
         self.bias = store.param(f"{name}.bias", (dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ops.normalize(x, kind="layer", eps=self.eps)
         if x.ndim == 4:
+            y = ops.standardize(x, 1, self.eps)
             w = ops.reshape(self.weight, (1, self.dim, 1, 1))
             b = ops.reshape(self.bias, (1, self.dim, 1, 1))
+        elif x.ndim == 2:
+            y, w, b = ops.standardize(x, -1, self.eps), self.weight, self.bias
         else:
-            w, b = self.weight, self.bias
+            raise ShapeError(f"LayerNorm expects 2-d or 4-d input, got {x.shape}")
         return ops.add(ops.mul(y, w), b)
 
 
 class GroupNorm:
+    """Normalizes each of ``num_groups`` channel groups over (group channels, h, w), then affine."""
+
     def __init__(self, store: ParamStore, name: str, channels: int, num_groups: int, eps: float = 1e-5):
+        if num_groups < 1 or channels % num_groups:
+            raise ConfigError(f"{num_groups} norm groups do not divide {channels} channels")
         self.eps = eps
         self.num_groups = num_groups
         self.channels = channels
@@ -66,7 +73,9 @@ class GroupNorm:
         self.bias = store.param(f"{name}.bias", (channels,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ops.normalize(x, kind="group", num_groups=self.num_groups, eps=self.eps)
+        n, c = x.shape[:2]
+        groups = ops.reshape(x, (n, self.num_groups, c // self.num_groups) + x.shape[2:])
+        y = ops.reshape(ops.standardize(groups, (2, 3, 4), self.eps), x.shape)
         w = ops.reshape(self.weight, (1, self.channels, 1, 1))
         b = ops.reshape(self.bias, (1, self.channels, 1, 1))
         return ops.add(ops.mul(y, w), b)

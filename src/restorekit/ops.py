@@ -1,9 +1,10 @@
 """Differentiable operations.
 
 Free functions over :class:`~restorekit.tensor.Tensor`; each builds one (or
-a few) tape nodes.  Convolution, softmax, global pooling, FFT and pixel
-shuffles are fused nodes with hand-written backwards; norms and small
-compositions reuse the primitives and inherit their gradients.
+a few) tape nodes.  Convolution, softmax, the normalizations (standardize,
+l2_normalize), mean_std, FFT and pixel shuffles are single nodes with
+hand-written backwards; gap and chunk reuse the primitives and inherit
+their gradients.
 
 Conventions:
   - conv2d computes stride-1 cross-correlation (no kernel flip) with zero
@@ -352,44 +353,37 @@ def softmax(a, axis: int = -1) -> Tensor:
 # normalization
 # ---------------------------------------------------------------------------
 
-def normalize(x, kind: str = "layer", num_groups: int = 1, eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance normalization, before any affine.
+def standardize(x, axes, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) over ``axes``, biased variance, one node.
 
-    kind="layer": over the channel axis per spatial position for 4-d input,
-    over the last axis for 2-d input.  kind="group": channels split into
-    ``num_groups`` groups, statistics over (group channels, h, w).
-    Biased (population) variance throughout.
+    The backward is the closed form (g - mean(g) - y * mean(g * y)) / std
+    from the output y and std = sqrt(var + eps), both kept from the forward.
     """
     x = astensor(x)
-    if kind == "layer":
-        if x.ndim == 4:
-            axes = (1,)
-        elif x.ndim == 2:
-            axes = (-1,)
-        else:
-            raise ShapeError(f"normalize(layer) expects 2-d or 4-d input, got {x.shape}")
-        centered = sub(x, tmean(x, axis=axes, keepdims=True))
-        var = tmean(square(centered), axis=axes, keepdims=True)
-        return div(centered, sqrt(add(var, eps)))
-    if kind == "group":
-        if x.ndim != 4:
-            raise ShapeError("normalize(group) expects 4-d input")
-        n, c, h, w = x.shape
-        if num_groups < 1 or c % num_groups:
-            raise ConfigError(f"{num_groups} groups do not divide {c} channels")
-        g = reshape(x, (n, num_groups, c // num_groups, h, w))
-        centered = sub(g, tmean(g, axis=(2, 3, 4), keepdims=True))
-        var = tmean(square(centered), axis=(2, 3, 4), keepdims=True)
-        out = div(centered, sqrt(add(var, eps)))
-        return reshape(out, (n, c, h, w))
-    raise ConfigError(f"unknown normalize kind '{kind}'")
+    centered = x.data - x.data.mean(axis=axes, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=axes, keepdims=True) + eps)
+    data = centered / std
+
+    def backward(g):
+        gy = (g * data).mean(axis=axes, keepdims=True)
+        accumulate_grad(x, (g - g.mean(axis=axes, keepdims=True) - data * gy) / std)
+
+    return make_node(data, (x,), backward, "standardize")
 
 
 def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """x / ||x||_2 along ``axis`` (eps keeps the zero vector finite)."""
+    """x / sqrt(sum(x^2) + eps) along ``axis``, one node (eps keeps the zero vector finite).
+
+    The backward is (g - y * sum(g * y)) / norm from the output y.
+    """
     x = astensor(x)
-    norm = sqrt(add(tsum(square(x), axis=axis, keepdims=True), eps))
-    return div(x, norm)
+    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True) + eps)
+    data = x.data / norm
+
+    def backward(g):
+        accumulate_grad(x, (g - data * (g * data).sum(axis=axis, keepdims=True)) / norm)
+
+    return make_node(data, (x,), backward, "l2_normalize")
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +531,7 @@ def mean_std(x) -> Tensor:
         safe = np.where(sd > 0, sd, 1.0)
         gx = gmu[:, :, None, None] / count
         gx = gx + (gsd / (count * safe))[:, :, None, None] * centered
-        accumulate_grad(x, np.broadcast_to(gx, x.data.shape) if gx.shape != x.data.shape else gx)
+        accumulate_grad(x, gx)
 
     return make_node(data, (x,), backward, "mean_std")
 

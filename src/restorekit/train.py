@@ -145,9 +145,10 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
 
     pairs: list of (degraded, clean) CHW arrays.  out_dir (optional) gets
     report.jsonl plus ckpt_final and any periodic checkpoints.  resume: a
-    checkpoint stem written by a previous run with the same configs; the
-    report then keeps the records before the checkpoint's step, so each
-    step appears once.
+    checkpoint stem written by a previous run with the same TrainConfig
+    (checkpoint_every aside) and parameter dtype, else ConfigError naming
+    the first difference; the report then keeps the records before the
+    checkpoint's step, so each step appears once.
     """
     cfg.validate()
     if not pairs:
@@ -163,6 +164,11 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
         if "step" not in ts:
             raise ConfigError(f"checkpoint {resume} has no training state to resume from")
         params = {n: a for n, a in arrays.items() if not n.startswith(OPTIM_PREFIX)}
+        saved = {"dtype": str(next(iter(params.values())).dtype), **(ts.get("train_config") or {})}
+        for name, value in {"dtype": str(store.dtype), **asdict(cfg)}.items():
+            # checkpoint_every only decides when snapshots are written
+            if name != "checkpoint_every" and saved.get(name) != value:
+                raise ConfigError(f"checkpoint {resume} has {name}={saved.get(name)!r}, this run has {value!r}")
         store.load_arrays(params)
         optim = {n[len(OPTIM_PREFIX):]: a for n, a in arrays.items() if n.startswith(OPTIM_PREFIX)}
         state.load_arrays(optim, ts["step"])

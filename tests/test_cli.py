@@ -173,6 +173,17 @@ def test_config_file_invalid_json_exits_two(tmp_path):
                 "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("flag, value, named", [("--steps", "3", "steps="), ("--lr0", "1.0", "lr0="),
+                                                ("--precision", "f64", "dtype='float32'")])
+def test_resume_with_a_different_setup_exits_two(tmp_path, capsys, flag, value, named):
+    out = tmp_path / "run"
+    argv = ["train", "--out", str(out), "--steps", "2", "--batch", "2", "--count", "4",
+            "--holdout", "0", "--patch", "16", "--checkpoint-every", "1"]
+    assert run(argv) == 0
+    assert run(argv + ["--resume", str(out / "ckpt_step000001"), flag, value]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_train_bad_patch_exits_two(tmp_path):
     assert run(["train", "--out", str(tmp_path), "--patch", "30", "--steps", "1"]) == 2
 

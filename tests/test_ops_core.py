@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from restorekit import ops
 from restorekit.errors import ConfigError, ShapeError
+from restorekit.layers import GroupNorm, LayerNorm
+from restorekit.params import ParamStore
 from restorekit.tensor import Tensor
 
 mpmath.mp.dps = 50
@@ -109,21 +111,26 @@ def test_softmax_entropy_monotone_in_temperature(rng):
 
 def test_layer_norm_zero_mean_unit_var_over_channels(rng):
     x = Tensor(rng.normal(size=(2, 6, 3, 4)) * 5 + 2)
-    y = ops.normalize(x, "layer", eps=1e-12).data
+    y = ops.standardize(x, 1, 1e-12).data
     np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-10)
     np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-6)
 
 
 def test_layer_norm_on_vectors(rng):
     x = Tensor(rng.normal(size=(5, 16)))
-    y = ops.normalize(x, "layer", eps=1e-12).data
+    y = ops.standardize(x, -1, 1e-12).data
     np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-12)
     np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-8)
 
 
+def _group_norm(x, groups, eps):
+    store = ParamStore(seed=0, dtype=np.float64)
+    return GroupNorm(store, "g", x.shape[1], groups, eps=eps)(Tensor(x)).data
+
+
 def test_group_norm_matches_per_group_oracle(rng):
     x = rng.normal(size=(2, 6, 4, 4))
-    got = ops.normalize(Tensor(x), "group", num_groups=3, eps=1e-8).data
+    got = _group_norm(x, 3, 1e-8)
     want = np.empty_like(x)
     for n in range(2):
         for g in range(3):
@@ -134,7 +141,7 @@ def test_group_norm_matches_per_group_oracle(rng):
 
 def test_group_norm_num_groups_equals_channels_is_instance_norm(rng):
     x = rng.normal(size=(1, 4, 5, 5))
-    got = ops.normalize(Tensor(x), "group", num_groups=4, eps=1e-8).data
+    got = _group_norm(x, 4, 1e-8)
     for c in range(4):
         ch = x[0, c]
         np.testing.assert_allclose(got[0, c], (ch - ch.mean()) / np.sqrt(ch.var() + 1e-8),
@@ -142,15 +149,71 @@ def test_group_norm_num_groups_equals_channels_is_instance_norm(rng):
 
 
 def test_normalize_constant_input_is_zero_not_nan():
-    x = Tensor(np.full((1, 4, 3, 3), 7.0))
-    y = ops.normalize(x, "layer").data
-    assert np.all(np.isfinite(y))
-    np.testing.assert_allclose(y, 0.0, atol=1e-6)
+    x = Tensor(np.full((1, 4, 3, 3), 7.0), requires_grad=True)
+    y = ops.standardize(x, 1, 1e-6)
+    assert np.all(np.isfinite(y.data))
+    np.testing.assert_allclose(y.data, 0.0, atol=1e-6)
+    ops.tsum(ops.mul(y, np.arange(36.0).reshape(1, 4, 3, 3))).backward()
+    assert np.all(np.isfinite(x.grad))
 
 
-def test_normalize_bad_groups_raise(rng):
-    with pytest.raises(ConfigError):
-        ops.normalize(Tensor(rng.normal(size=(1, 6, 2, 2))), "group", num_groups=4)
+def test_normalize_bad_groups_raise():
+    for groups in (4, 0):
+        with pytest.raises(ConfigError):
+            GroupNorm(ParamStore(seed=0), "g", 6, groups)
+
+
+def _same_forward_and_backward(rng, shape, fused, composed):
+    """float64: the single node against the primitive chain it replaces, the reference."""
+    x, g = rng.normal(size=shape) * 3 + 1, rng.normal(size=shape)
+    results = []
+    for f in (fused, composed):
+        t = Tensor(x.copy(), requires_grad=True)
+        y = f(t)
+        y.backward(g)
+        results.append((y.data, t.grad))
+    for a, b in zip(*results):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape, axes", [((2, 5, 3, 4), 1), ((4, 9), -1), ((2, 3, 2, 3, 3), (2, 3, 4))],
+                         ids=["channels", "vectors", "groups"])
+def test_standardize_matches_the_composed_chain(rng, shape, axes):
+    def composed(x):
+        centered = ops.sub(x, ops.tmean(x, axis=axes, keepdims=True))
+        var = ops.tmean(ops.square(centered), axis=axes, keepdims=True)
+        return ops.div(centered, ops.sqrt(ops.add(var, 1e-6)))
+
+    _same_forward_and_backward(rng, shape, lambda x: ops.standardize(x, axes, 1e-6), composed)
+
+
+def test_l2_normalize_matches_the_composed_chain(rng):
+    def composed(x):
+        return ops.div(x, ops.sqrt(ops.add(ops.tsum(ops.square(x), axis=-1, keepdims=True), 1e-12)))
+
+    _same_forward_and_backward(rng, (2, 2, 3, 7), lambda x: ops.l2_normalize(x, axis=-1), composed)
+
+
+def _norm_nodes(out):
+    seen, stack, found = set(), [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.op in ("standardize", "l2_normalize", "mean", "sqrt", "square", "div", "sum"):
+                found.append(node.op)
+            stack.extend(node._parents)
+    return found
+
+
+def test_each_normalization_records_one_node(rng):
+    store = ParamStore(seed=0, dtype=np.float64)
+    x = Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
+    v = Tensor(rng.normal(size=(3, 9)), requires_grad=True)
+    assert _norm_nodes(LayerNorm(store, "ln", 4)(x)) == ["standardize"]
+    assert _norm_nodes(LayerNorm(store, "lv", 9)(v)) == ["standardize"]
+    assert _norm_nodes(GroupNorm(store, "gn", 4, 2)(x)) == ["standardize"]
+    assert _norm_nodes(ops.l2_normalize(x, axis=-1)) == ["l2_normalize"]
 
 
 # -- linear / matmul -----------------------------------------------------------

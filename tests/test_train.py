@@ -184,6 +184,24 @@ def test_resume_logs_each_step_once(tmp_path):
     assert steps == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("field, value", [("steps", 10), ("batch_size", 3), ("lr0", 1.0)])
+def test_resume_refuses_a_different_train_config(tmp_path, field, value):
+    pairs = small_pairs()
+    train_loop(quick_model(), pairs, quick_cfg(steps=4, checkpoint_every=2), out_dir=tmp_path)
+    with pytest.raises(ConfigError, match=f"{field}="):
+        train_loop(quick_model(), pairs, quick_cfg(**{"steps": 4, field: value}),
+                   resume=tmp_path / "ckpt_step000002")
+
+
+def test_resume_refuses_a_different_parameter_dtype(tmp_path):
+    pairs = small_pairs()
+    train_loop(quick_model(dtype=np.float32), pairs, quick_cfg(steps=4, checkpoint_every=2),
+               out_dir=tmp_path)
+    with pytest.raises(ConfigError, match="dtype='float32'"):
+        train_loop(quick_model(dtype=np.float64), pairs, quick_cfg(steps=4),
+                   resume=tmp_path / "ckpt_step000002")
+
+
 def test_resume_requires_training_state(tmp_path):
     model = quick_model()
     from restorekit.checkpoint import save_model
