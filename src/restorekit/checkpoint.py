@@ -16,6 +16,7 @@ save that died between the two files never loads as a mixed pair.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from pathlib import Path
@@ -100,18 +101,26 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise DataError(f"payload {bpath} does not match the CRC-32 in {mpath}")
     arrays = {}
     for entry in manifest["tensors"]:
-        code = entry["dtype"]
+        if not isinstance(entry, dict) or not {"name", "shape", "dtype", "offset"} <= entry.keys():
+            raise DataError(f"tensor entry {entry!r} needs a name, shape, dtype and offset")
+        name, code, shape, start = entry["name"], entry["dtype"], entry["shape"], entry["offset"]
         if code not in _DTYPE_CODES:
-            raise DataError(f"tensor '{entry['name']}' has unknown dtype code '{code}'")
+            raise DataError(f"tensor '{name}' has unknown dtype code '{code}'")
+        if not isinstance(shape, list) or not all(map(_is_count, shape)):
+            raise DataError(f"tensor '{name}' has invalid shape {shape!r}")
+        if not _is_count(start):
+            raise DataError(f"tensor '{name}' has invalid offset {start!r}")
         dt = _DTYPE_CODES[code]
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
-        end = start + count * dt.itemsize
+        end = start + math.prod(shape) * dt.itemsize
         if end > len(payload):
-            raise DataError(f"tensor '{entry['name']}' overruns payload ({end} > {len(payload)})")
-        arrays[entry["name"]] = np.frombuffer(payload[start:end], dtype=dt).reshape(shape).copy()
+            raise DataError(f"tensor '{name}' overruns payload ({end} > {len(payload)})")
+        arrays[name] = np.frombuffer(payload[start:end], dtype=dt).reshape(shape).copy()
     return manifest, arrays
+
+
+def _is_count(v) -> bool:
+    """A non-negative JSON integer (true/false are not counts)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 # -- model-level helpers -----------------------------------------------------

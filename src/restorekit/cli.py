@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: train, restore, grad-check, ablate, metrics, make-data.
-Option precedence is built-in defaults < --config JSON file < explicit
-flags.  Exit codes: 0 success, 2 configuration/usage, 3 data problems,
-4 numerical abort, 5 gradient-check failure.
+Option precedence is argparse defaults < train's --config JSON file <
+explicit flags.  Exit codes: 0 success, 2 configuration/usage, 3 data
+problems, 4 numerical abort, 5 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -12,11 +12,22 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from . import ops
+from .checkpoint import load_model
+from .degrade import TASKS, degrade, make_patch_set, procedural_image, spec_for_task
 from .errors import ConfigError, DataError, NumericsError, ShapeError, UsageError
+from .gradcheck import (MODEL_TOL, MODULE_TOL, PRIMITIVE_TOL, check_model, check_modules,
+                        check_primitives)
+from .metrics import psnr, ssim
+from .model import PRESETS, RestorationModel, ablation_variants, config_by_name
+from .ppm import chw_to_image, image_to_chw, read_ppm, write_ppm
+from .tensor import Tensor, no_grad
+from .train import TrainConfig, train_loop
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,14 +40,16 @@ _DEGRADE_KEYS = ("sigma", "transmission", "airlight", "num_streaks", "streak_len
 
 
 def _add_degradation_flags(p: argparse.ArgumentParser):
-    p.add_argument("--task", choices=["denoise", "dehaze", "derain", "lowlight", "composite"],
-                   help="degradation family (default denoise)")
+    p.add_argument("--task", choices=TASKS, default="denoise",
+                   help="degradation family (default %(default)s)")
     p.add_argument("--sigma", type=float, help="gaussian noise sigma, 8-bit units")
     p.add_argument("--transmission", type=float, help="haze transmission in (0,1]")
     p.add_argument("--airlight", type=float, help="haze airlight in [0,1]")
     p.add_argument("--num-streaks", type=int, dest="num_streaks", help="rain streak count")
-    p.add_argument("--streak-length", type=float, dest="streak_length", help="rain streak length, px")
-    p.add_argument("--angle-deg", type=float, dest="angle_deg", help="rain tilt from vertical, degrees")
+    p.add_argument("--streak-length", type=float, dest="streak_length",
+                   help="rain streak length, px")
+    p.add_argument("--angle-deg", type=float, dest="angle_deg",
+                   help="rain tilt from vertical, degrees")
     p.add_argument("--intensity", type=float, help="rain streak brightness")
     p.add_argument("--gain", type=float, help="lowlight gain in (0,1]")
     p.add_argument("--gamma", type=float, help="lowlight gamma > 0")
@@ -46,107 +59,113 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="restorekit",
                                      description="degradation-aware image restoration toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
 
-    pt = sub.add_parser("train", help="train a model on synthetic pairs",
-                        argument_default=S)
+    pt = sub.add_parser("train", help="train a model on synthetic pairs")
     pt.add_argument("--out", required=True, help="output directory (reports, checkpoints)")
     pt.add_argument("--config", help="JSON file with option defaults")
-    pt.add_argument("--size", choices=["tiny", "small", "full"], help="model preset (default tiny)")
-    pt.add_argument("--steps", type=int, help="optimizer steps (default 500)")
-    pt.add_argument("--batch", type=int, help="batch size (default 8)")
-    pt.add_argument("--lr0", type=float, help="peak learning rate (default 2e-4)")
-    pt.add_argument("--lr-min", type=float, dest="lr_min", help="final learning rate (default 1e-6)")
+    pt.add_argument("--size", choices=PRESETS, default="tiny",
+                    help="model preset (default %(default)s)")
+    pt.add_argument("--steps", type=int, default=TrainConfig.steps,
+                    help="optimizer steps (default %(default)s)")
+    pt.add_argument("--batch", type=int, default=TrainConfig.batch_size,
+                    help="batch size (default %(default)s)")
+    pt.add_argument("--lr0", type=float, default=TrainConfig.lr0,
+                    help="peak learning rate (default %(default)s)")
+    pt.add_argument("--lr-min", type=float, dest="lr_min", default=TrainConfig.lr_min,
+                    help="final learning rate (default %(default)s)")
     pt.add_argument("--lambda-fourier", type=float, dest="lambda_fourier",
-                    help="spectral loss weight (default 0.1)")
-    pt.add_argument("--count", type=int, help="training pairs (default 64)")
-    pt.add_argument("--holdout", type=int, help="held-out eval pairs (default 16)")
-    pt.add_argument("--patch", type=int, help="patch size (default 32)")
-    pt.add_argument("--seed", type=int, help="master seed (default 0)")
-    pt.add_argument("--precision", choices=["f32", "f64"], help="compute precision (default f32)")
+                    default=TrainConfig.lambda_fourier,
+                    help="spectral loss weight (default %(default)s)")
+    pt.add_argument("--count", type=int, default=64, help="training pairs (default %(default)s)")
+    pt.add_argument("--holdout", type=int, default=16,
+                    help="held-out eval pairs (default %(default)s)")
+    pt.add_argument("--patch", type=int, default=32, help="patch size (default %(default)s)")
+    pt.add_argument("--seed", type=int, default=TrainConfig.seed,
+                    help="master seed (default %(default)s)")
+    pt.add_argument("--precision", choices=["f32", "f64"], default="f32",
+                    help="compute precision (default %(default)s)")
     pt.add_argument("--checkpoint-every", type=int, dest="checkpoint_every",
-                    help="periodic checkpoint interval, 0 = final only")
+                    default=TrainConfig.checkpoint_every,
+                    help="periodic checkpoint interval, 0 = final only (default %(default)s)")
     pt.add_argument("--data", help="directory of clean .ppm images (default: procedural)")
     pt.add_argument("--resume", help="checkpoint stem to resume from")
     _add_degradation_flags(pt)
 
-    pr = sub.add_parser("restore", help="run a checkpoint on one image", argument_default=S)
+    pr = sub.add_parser("restore", help="run a checkpoint on one image")
     pr.add_argument("--checkpoint", required=True, help="checkpoint stem or .json path")
     pr.add_argument("--input", required=True, help="degraded input .ppm")
     pr.add_argument("--output", required=True, help="restored output .ppm")
     pr.add_argument("--reference", help="clean reference .ppm for metrics")
 
-    pg = sub.add_parser("grad-check", help="verify gradients against finite differences",
-                        argument_default=S)
-    pg.add_argument("--seed", type=int, help="base seed (default 0)")
-    pg.add_argument("--only", choices=["all", "primitives", "modules", "model"],
-                    help="restrict the check set")
-    pg.add_argument("--samples", type=int, help="model parameters to spot-check (default 120)")
+    pg = sub.add_parser("grad-check", help="verify gradients against finite differences")
+    pg.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
+    pg.add_argument("--only", choices=["all", "primitives", "modules", "model"], default="all",
+                    help="restrict the check set (default %(default)s)")
+    pg.add_argument("--samples", type=int, default=120,
+                    help="model parameters to spot-check (default %(default)s)")
 
-    pa = sub.add_parser("ablate", help="build and exercise the module on/off matrix",
-                        argument_default=S)
-    pa.add_argument("--size", choices=["tiny", "small", "full"], help="base preset (default full)")
-    pa.add_argument("--image", type=int, help="square input size (default 32)")
+    pa = sub.add_parser("ablate", help="build and exercise the module on/off matrix")
+    pa.add_argument("--size", choices=PRESETS, default="full",
+                    help="base preset (default %(default)s)")
+    pa.add_argument("--image", type=int, default=32, help="square input size (default %(default)s)")
     pa.add_argument("--out", help="write the table as JSON here")
     pa.add_argument("--dry-run", action="store_true", dest="dry_run",
                     help="only build and count parameters, skip forward/backward")
 
-    pm = sub.add_parser("metrics", help="psnr/ssim between two image directories",
-                        argument_default=S)
+    pm = sub.add_parser("metrics", help="psnr/ssim between two image directories")
     pm.add_argument("--reference", required=True, help="directory of reference .ppm images")
     pm.add_argument("--candidate", required=True, help="directory of images to score")
 
-    pd = sub.add_parser("make-data", help="write clean/degraded ppm pairs", argument_default=S)
+    pd = sub.add_parser("make-data", help="write clean/degraded ppm pairs")
     pd.add_argument("--out", required=True, help="output root directory")
-    pd.add_argument("--count", type=int, help="number of images (default 16)")
-    pd.add_argument("--height", type=int, help="image height (default 64)")
-    pd.add_argument("--width", type=int, help="image width (default 64)")
-    pd.add_argument("--seed", type=int, help="master seed (default 0)")
+    pd.add_argument("--count", type=int, default=16, help="number of images (default %(default)s)")
+    pd.add_argument("--height", type=int, default=64, help="image height (default %(default)s)")
+    pd.add_argument("--width", type=int, default=64, help="image width (default %(default)s)")
+    pd.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
     _add_degradation_flags(pd)
     return parser
 
 
-def _merge_options(ns: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags; config keys are validated."""
-    given = {k: v for k, v in vars(ns).items() if k != "command"}
-    merged = dict(defaults)
-    config_path = given.pop("config", None)
-    if config_path:
-        try:
-            raw = json.loads(Path(config_path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {config_path}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {config_path}: invalid JSON ({e})") from None
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {config_path}: expected a JSON object")
-        # each value must pass what its flag would: type (JSON true/false are
-        # not numbers, though Python takes them as 1/0) and argparse choices
-        subcommands = next(a for a in _build_parser()._actions if a.dest == "command")
-        actions = {a.dest: a for a in subcommands.choices[ns.command]._actions}
-        for key, value in raw.items():
-            if key not in defaults:
-                raise ConfigError(f"config file {config_path}: unknown field '{key}'")
-            action, want = actions[key], defaults[key]
-            want = type(want) if want is not None else action.type or str
-            if value is not None:
-                if (not isinstance(value, (int, float) if want is float else want)
-                        or isinstance(value, bool) and want is not bool):
-                    raise ConfigError(f"config file {config_path}: field '{key}' expects "
-                                      f"{want.__name__}, got {type(value).__name__}")
-                if action.choices and value not in action.choices:
-                    raise ConfigError(f"config file {config_path}: field '{key}' must be one of "
-                                      f"{', '.join(map(str, action.choices))}, got {value!r}")
-            merged[key] = value
-    merged.update(given)
-    return merged
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv; a --config file's values become the subcommand's defaults.
+
+    Precedence is argparse defaults < config file < explicit flags.  Each
+    file value must pass what its flag would: type (JSON true/false are not
+    numbers, though Python takes them as 1/0) and choices.
+    """
+    ns = parser.parse_args(argv)
+    config_path = getattr(ns, "config", None)
+    if not config_path:
+        return ns
+    try:
+        raw = json.loads(Path(config_path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {config_path}") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config file {config_path}: invalid JSON ({e})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {config_path}: expected a JSON object")
+    subparser = next(a for a in parser._actions if a.dest == "command").choices[ns.command]
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+    for key, value in raw.items():
+        if key not in actions:
+            raise ConfigError(f"config file {config_path}: unknown field '{key}'")
+        action = actions[key]
+        want = action.type or str
+        if value is not None:
+            if (not isinstance(value, (int, float) if want is float else want)
+                    or isinstance(value, bool)):
+                raise ConfigError(f"config file {config_path}: field '{key}' expects "
+                                  f"{want.__name__}, got {type(value).__name__}")
+            if action.choices and value not in action.choices:
+                raise ConfigError(f"config file {config_path}: field '{key}' must be one of "
+                                  f"{', '.join(map(str, action.choices))}, got {value!r}")
+    subparser.set_defaults(**raw)
+    return parser.parse_args(argv)
 
 
-def _degradation_spec(opts: dict):
-    from .degrade import spec_for_task
-
-    overrides = {k: opts.get(k) for k in _DEGRADE_KEYS}
-    return spec_for_task(opts["task"], **overrides)
+def _degradation_spec(ns):
+    return spec_for_task(ns.task, **{k: getattr(ns, k) for k in _DEGRADE_KEYS})
 
 
 # ---------------------------------------------------------------------------
@@ -154,41 +173,29 @@ def _degradation_spec(opts: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_train(ns) -> int:
-    from .degrade import make_patch_set
-    from .metrics import psnr
-    from .model import RestorationModel, config_by_name
-    from .tensor import no_grad
-    from .train import TrainConfig, train_loop
-
-    defaults = {"out": None, "size": "tiny", "steps": 500, "batch": 8, "lr0": 2e-4,
-                "lr_min": 1e-6, "lambda_fourier": 0.1, "count": 64, "holdout": 16,
-                "patch": 32, "seed": 0, "precision": "f32", "checkpoint_every": 0,
-                "data": None, "resume": None, "task": "denoise",
-                **{k: None for k in _DEGRADE_KEYS}}
-    opts = _merge_options(ns, defaults)
-    spec = _degradation_spec(opts)
-    if opts["patch"] % 8:
+    spec = _degradation_spec(ns)
+    if ns.patch % 8:
         raise ConfigError("patch size must be a multiple of 8")
+    if ns.count < 1 or ns.holdout < 0:
+        raise ConfigError("need count >= 1 and holdout >= 0")
 
-    dtype = np.float64 if opts["precision"] == "f64" else np.float32
-    model = RestorationModel(config_by_name(opts["size"], seed=opts["seed"]), dtype=dtype)
-    total = opts["count"] + opts["holdout"]
-    pairs = make_patch_set(spec, total, patch=opts["patch"], seed=opts["seed"],
-                           clean_dir=opts["data"])
-    train_pairs = pairs[:opts["count"]]
-    eval_pairs = pairs[opts["count"]:]
+    dtype = np.float64 if ns.precision == "f64" else np.float32
+    model = RestorationModel(config_by_name(ns.size, seed=ns.seed), dtype=dtype)
+    total = ns.count + ns.holdout
+    pairs = make_patch_set(spec, total, patch=ns.patch, seed=ns.seed, clean_dir=ns.data)
+    train_pairs = pairs[:ns.count]
+    eval_pairs = pairs[ns.count:]
 
-    cfg = TrainConfig(steps=opts["steps"], batch_size=opts["batch"], lr0=opts["lr0"],
-                      lr_min=opts["lr_min"], lambda_fourier=opts["lambda_fourier"],
-                      seed=opts["seed"], checkpoint_every=opts["checkpoint_every"])
-    out_dir = Path(opts["out"])
+    cfg = TrainConfig(steps=ns.steps, batch_size=ns.batch, lr0=ns.lr0,
+                      lr_min=ns.lr_min, lambda_fourier=ns.lambda_fourier,
+                      seed=ns.seed, checkpoint_every=ns.checkpoint_every)
+    out_dir = Path(ns.out)
 
     def log(rec):
         if rec["step"] % 50 == 0 or rec["step"] == cfg.steps - 1:
             print(f"step {rec['step']:5d}  lr {rec['lr']:.3e}  loss {rec['loss']:.5f}")
 
-    report = train_loop(model, train_pairs, cfg, out_dir=out_dir,
-                        resume=opts["resume"], log=log)
+    report = train_loop(model, train_pairs, cfg, out_dir=out_dir, resume=ns.resume, log=log)
 
     summary = {"steps": cfg.steps, "train_pairs": len(train_pairs),
                "wall_time_s": report.wall_time_s,
@@ -222,15 +229,8 @@ def _pad_to_multiple(chw: np.ndarray, m: int) -> tuple[np.ndarray, int, int]:
 
 
 def cmd_restore(ns) -> int:
-    from .checkpoint import load_model
-    from .metrics import psnr, ssim
-    from .ppm import chw_to_image, image_to_chw, read_ppm, write_ppm
-    from .tensor import no_grad
-
-    opts = _merge_options(ns, {"checkpoint": None, "input": None, "output": None,
-                               "reference": None})
-    model, _, _ = load_model(opts["checkpoint"])
-    img = read_ppm(opts["input"])
+    model, _, _ = load_model(ns.checkpoint)
+    img = read_ppm(ns.input)
     chw = image_to_chw(img).astype(model.dtype)
     padded, h, w = _pad_to_multiple(chw, model.DOWNSCALE)
     with no_grad():
@@ -238,10 +238,10 @@ def cmd_restore(ns) -> int:
     if not np.all(np.isfinite(pred)):
         raise NumericsError("restoration produced non-finite pixels")
     restored = np.clip(pred[:, :h, :w], 0.0, 1.0)
-    write_ppm(opts["output"], chw_to_image(restored))
-    print(f"wrote {opts['output']} ({w}x{h})")
-    if opts["reference"]:
-        ref = read_ppm(opts["reference"])
+    write_ppm(ns.output, chw_to_image(restored))
+    print(f"wrote {ns.output} ({w}x{h})")
+    if ns.reference:
+        ref = read_ppm(ns.reference)
         before = psnr(img, ref)
         after = psnr(chw_to_image(restored), ref)
         print(f"psnr {before:.2f} -> {after:.2f} dB   "
@@ -250,10 +250,6 @@ def cmd_restore(ns) -> int:
 
 
 def cmd_grad_check(ns) -> int:
-    from .gradcheck import (MODEL_TOL, MODULE_TOL, PRIMITIVE_TOL, check_model,
-                            check_modules, check_primitives)
-
-    opts = _merge_options(ns, {"seed": 0, "only": "all", "samples": 120})
     failures = []
 
     def report(name: str, err: float, tol: float):
@@ -262,14 +258,14 @@ def cmd_grad_check(ns) -> int:
         if err > tol:
             failures.append(name)
 
-    if opts["only"] in ("all", "primitives"):
-        for name, err in sorted(check_primitives(opts["seed"]).items()):
+    if ns.only in ("all", "primitives"):
+        for name, err in sorted(check_primitives(ns.seed).items()):
             report(f"primitive/{name}", err, PRIMITIVE_TOL)
-    if opts["only"] in ("all", "modules"):
-        for name, err in check_modules(opts["seed"]).items():
+    if ns.only in ("all", "modules"):
+        for name, err in check_modules(ns.seed).items():
             report(f"module/{name}", err, MODULE_TOL)
-    if opts["only"] in ("all", "model"):
-        report("model/end_to_end", check_model(opts["seed"], samples=opts["samples"]), MODEL_TOL)
+    if ns.only in ("all", "model"):
+        report("model/end_to_end", check_model(ns.seed, samples=ns.samples), MODEL_TOL)
     if failures:
         print(f"{len(failures)} gradient check(s) failed: {', '.join(failures)}")
         return EXIT_GRADCHECK
@@ -278,16 +274,11 @@ def cmd_grad_check(ns) -> int:
 
 
 def cmd_ablate(ns) -> int:
-    from . import ops
-    from .model import RestorationModel, ablation_variants, config_by_name
-    from .tensor import Tensor
-
-    opts = _merge_options(ns, {"size": "full", "image": 32, "out": None, "dry_run": False})
-    if opts["image"] % 8:
+    if ns.image % 8:
         raise ConfigError("--image must be a multiple of 8")
-    base = config_by_name(opts["size"])
+    base = config_by_name(ns.size)
     rng = np.random.default_rng(0)
-    x = rng.uniform(0.1, 0.9, size=(1, 3, opts["image"], opts["image"]))
+    x = rng.uniform(0.1, 0.9, size=(1, 3, ns.image, ns.image))
     rows = []
     print(f"{'variant':26s} {'params':>12s}  fwd/bwd")
     for label, cfg in ablation_variants(base):
@@ -297,7 +288,7 @@ def cmd_ablate(ns) -> int:
                "use_agf": cfg.use_agf, "use_cgdm": cfg.use_cgdm, "use_caga": cfg.use_caga,
                "use_adaptive_temp": cfg.wants_temperature(),
                "use_gated_output": cfg.wants_gate()}
-        if opts["dry_run"]:
+        if ns.dry_run:
             row["status"] = "built"
         else:
             target = Tensor(np.zeros_like(x, dtype=model.dtype))
@@ -312,18 +303,14 @@ def cmd_ablate(ns) -> int:
         row["seconds"] = time.time() - t0
         rows.append(row)
         print(f"{label:26s} {row['params']:12,d}  {row['status']} ({row['seconds']:.1f}s)")
-    if opts["out"]:
-        Path(opts["out"]).parent.mkdir(parents=True, exist_ok=True)
-        Path(opts["out"]).write_text(json.dumps(rows, indent=1))
+    if ns.out:
+        Path(ns.out).parent.mkdir(parents=True, exist_ok=True)
+        Path(ns.out).write_text(json.dumps(rows, indent=1))
     return EXIT_OK
 
 
 def cmd_metrics(ns) -> int:
-    from .metrics import psnr, ssim
-    from .ppm import read_ppm
-
-    opts = _merge_options(ns, {"reference": None, "candidate": None})
-    ref_dir, cand_dir = Path(opts["reference"]), Path(opts["candidate"])
+    ref_dir, cand_dir = Path(ns.reference), Path(ns.candidate)
     for d in (ref_dir, cand_dir):
         if not d.is_dir():
             raise DataError(f"not a directory: {d}")
@@ -349,28 +336,20 @@ def cmd_metrics(ns) -> int:
 
 
 def cmd_make_data(ns) -> int:
-    from dataclasses import replace
-
-    from .degrade import degrade, procedural_image
-    from .ppm import write_ppm
-
-    defaults = {"out": None, "count": 16, "height": 64, "width": 64, "seed": 0,
-                "task": "denoise", **{k: None for k in _DEGRADE_KEYS}}
-    opts = _merge_options(ns, defaults)
-    if opts["count"] < 1 or opts["height"] < 8 or opts["width"] < 8:
+    if ns.count < 1 or ns.height < 8 or ns.width < 8:
         raise ConfigError("need count >= 1 and height/width >= 8")
-    spec = _degradation_spec(opts)
-    root = Path(opts["out"])
+    spec = _degradation_spec(ns)
+    root = Path(ns.out)
     clean_dir = root / "clean"
     deg_dir = root / "degraded" / spec.tag()
-    rng = np.random.default_rng(opts["seed"])
-    for i in range(opts["count"]):
-        clean = procedural_image(opts["height"], opts["width"], rng)
+    rng = np.random.default_rng(ns.seed)
+    for i in range(ns.count):
+        clean = procedural_image(ns.height, ns.width, rng)
         pair_seed = int(rng.integers(0, 2 ** 62))
         degraded = degrade(clean, replace(spec, seed=pair_seed))
         write_ppm(clean_dir / f"img_{i:04d}.ppm", clean)
         write_ppm(deg_dir / f"img_{i:04d}.ppm", degraded)
-    print(f"wrote {opts['count']} pairs under {root} ({spec.tag()})")
+    print(f"wrote {ns.count} pairs under {root} ({spec.tag()})")
     return EXIT_OK
 
 
@@ -386,8 +365,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = _parse(parser, argv)
         return _COMMANDS[ns.command](ns)
     except (ConfigError, UsageError, ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)

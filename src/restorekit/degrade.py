@@ -196,19 +196,22 @@ def make_patch_set(spec: DegradationSpec, count: int, patch: int = 32, seed: int
     return pairs
 
 
+# CLI task name -> degradation spec with that task's defaults
+TASKS = {
+    "denoise": DegradationSpec(kind="gaussian_noise"),
+    "dehaze": DegradationSpec(kind="haze"),
+    "derain": DegradationSpec(kind="rain"),
+    "lowlight": DegradationSpec(kind="lowlight"),
+    "composite": DegradationSpec(kind="composite", parts=(
+        DegradationSpec(kind="haze", transmission=0.75),
+        DegradationSpec(kind="gaussian_noise", sigma=15.0),
+    )),
+}
+
+
 def spec_for_task(task: str, **overrides) -> DegradationSpec:
-    """Map a CLI task name onto a degradation spec with sensible defaults."""
-    base = {
-        "denoise": DegradationSpec(kind="gaussian_noise"),
-        "dehaze": DegradationSpec(kind="haze"),
-        "derain": DegradationSpec(kind="rain"),
-        "lowlight": DegradationSpec(kind="lowlight"),
-        "composite": DegradationSpec(kind="composite", parts=(
-            DegradationSpec(kind="haze", transmission=0.75),
-            DegradationSpec(kind="gaussian_noise", sigma=15.0),
-        )),
-    }
-    if task not in base:
-        raise ConfigError(f"unknown task '{task}' (expected one of {sorted(base)})")
+    """The task's spec from TASKS with every non-None override applied."""
+    if task not in TASKS:
+        raise ConfigError(f"unknown task '{task}' (expected one of {sorted(TASKS)})")
     clean = {k: v for k, v in overrides.items() if v is not None}
-    return replace(base[task], **clean) if clean else base[task]
+    return replace(TASKS[task], **clean) if clean else TASKS[task]

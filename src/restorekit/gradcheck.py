@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import ops
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 from .tensor import Tensor, no_grad
 
 PRIMITIVE_TOL = 1e-4
@@ -228,6 +228,8 @@ def check_model(seed: int = 0, samples: int = 120, image: int = 16) -> float:
 
     rng = np.random.default_rng(seed)
     model = RestorationModel(tiny_config(seed=seed), dtype=np.float64)
+    if not 1 <= samples <= model.param_count():
+        raise ConfigError(f"samples must lie in [1, {model.param_count()}], got {samples}")
     x = Tensor(rng.uniform(0.1, 0.9, size=(1, 3, image, image)))
 
     def loss(_v):

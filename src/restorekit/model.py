@@ -86,11 +86,13 @@ def tiny_config(seed: int = 0) -> ModelConfig:
                        heads=(1, 1, 2, 2), seed=seed)
 
 
+PRESETS = {"tiny": tiny_config, "small": small_config, "full": full_config}
+
+
 def config_by_name(name: str, seed: int = 0) -> ModelConfig:
-    table = {"full": full_config, "small": small_config, "tiny": tiny_config}
-    if name not in table:
-        raise ConfigError(f"unknown model size '{name}' (expected full/small/tiny)")
-    return table[name](seed)
+    if name not in PRESETS:
+        raise ConfigError(f"unknown model size '{name}' (expected {'/'.join(sorted(PRESETS))})")
+    return PRESETS[name](seed)
 
 
 class RestorationModel:

@@ -46,6 +46,8 @@ class TrainConfig:
             raise ConfigError("betas must lie in [0, 1)")
         if self.lambda_fourier < 0:
             raise ConfigError("lambda_fourier must be >= 0")
+        if self.checkpoint_every < 0:
+            raise ConfigError("checkpoint_every must be >= 0")
 
 
 def l1_fourier_loss(pred: Tensor, target: Tensor, weight: float = 0.1) -> Tensor:

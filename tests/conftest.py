@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from restorekit.tensor import Tensor
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
-
-
-def t64(rng, shape, requires_grad=False):
-    """Random float64 tensor helper shared across test modules."""
-    return Tensor(rng.normal(size=shape), requires_grad=requires_grad)

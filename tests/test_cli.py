@@ -1,14 +1,16 @@
 """CLI behaviour: option precedence, exit codes, end-to-end plumbing."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from restorekit import cli, ops
-from restorekit.checkpoint import save_model
+from restorekit.checkpoint import load_checkpoint, save_model
 from restorekit.model import RestorationModel, tiny_config
 from restorekit.ppm import read_ppm, write_ppm
+from restorekit.train import TrainConfig
 
 
 def run(argv):
@@ -20,6 +22,16 @@ def test_help_exits_zero(capsys):
         run(["--help"])
     assert exc.value.code == 0
     assert "restorekit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["train", "restore", "grad-check", "ablate", "metrics",
+                                     "make-data"])
+def test_subcommand_help_exits_zero(capsys, command):
+    # every help string goes through argparse's %-formatting
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    assert f"restorekit {command}" in capsys.readouterr().out
 
 
 def test_unknown_command_exits_two():
@@ -188,11 +200,36 @@ def test_train_bad_patch_exits_two(tmp_path):
     assert run(["train", "--out", str(tmp_path), "--patch", "30", "--steps", "1"]) == 2
 
 
+def test_train_negative_holdout_exits_two(tmp_path, capsys):
+    # a negative holdout used to slice pairs off the training set
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out), "--steps", "1", "--batch", "1", "--count", "6",
+                "--holdout", "-2", "--patch", "16"]) == 2
+    assert "holdout" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_records_the_train_config_defaults(tmp_path):
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out), "--steps", "1", "--batch", "1", "--count", "1",
+                "--holdout", "0", "--patch", "16"]) == 0
+    recorded = load_checkpoint(out / "ckpt_final")[0]["train_state"]["train_config"]
+    defaults = asdict(TrainConfig())
+    for field in ("lr0", "lr_min", "lambda_fourier", "checkpoint_every"):
+        assert recorded[field] == defaults[field]
+
+
 def test_grad_check_primitives_pass(capsys):
     assert run(["grad-check", "--only", "primitives", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "all gradient checks passed" in out
     assert "primitive/" in out
+
+
+@pytest.mark.parametrize("samples", [0, -1, RestorationModel(tiny_config()).param_count() + 1])
+def test_grad_check_samples_out_of_range_exits_two(capsys, samples):
+    assert run(["grad-check", "--only", "model", "--samples", str(samples)]) == 2
+    assert "samples" in capsys.readouterr().err
 
 
 def test_grad_check_detects_wrong_gradient(capsys, monkeypatch):

@@ -159,6 +159,13 @@ def test_periodic_checkpoints(tmp_path):
     assert not (tmp_path / "ckpt_step000004.json").exists()  # final covers the end
 
 
+def test_negative_checkpoint_interval_is_rejected(tmp_path):
+    # done % -1 == 0 holds at every step, so this used to checkpoint every step
+    with pytest.raises(ConfigError, match="checkpoint_every"):
+        train_loop(quick_model(), small_pairs(), quick_cfg(checkpoint_every=-1), out_dir=tmp_path)
+    assert not list(tmp_path.glob("ckpt_*"))
+
+
 def test_resume_reproduces_uninterrupted_trajectory(tmp_path):
     """Restart from a mid-run snapshot; the tail must match the straight run."""
     pairs = small_pairs()
@@ -294,6 +301,21 @@ def test_interrupted_save_never_loads_a_mixed_pair(tmp_path, monkeypatch, fail_o
     assert manifest["train_state"] == {"step": 1}
     for name, arr in first.items():
         np.testing.assert_array_equal(back[name], arr)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda e: e.update(shape=[-5]),
+    lambda e: e.pop("offset"),
+    lambda e: e.update(offset=-8),
+], ids=["negative-dim", "missing-offset", "negative-offset"])
+def test_checkpoint_rejects_a_malformed_tensor_entry(tmp_path, edit):
+    arrays = {"a": np.zeros((3, 4), dtype=np.float32), "b": np.ones(5)}
+    stem = save_checkpoint(tmp_path / "ck", arrays, {})
+    manifest = json.loads((tmp_path / "ck.json").read_text())
+    edit(manifest["tensors"][1])
+    (tmp_path / "ck.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="'b'"):
+        load_checkpoint(stem)
 
 
 def test_checkpoint_rejects_unsupported_dtype(tmp_path):
