@@ -99,8 +99,11 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     crc = manifest.get("payload_crc32")
     if crc is not None and crc != zlib.crc32(payload):
         raise DataError(f"payload {bpath} does not match the CRC-32 in {mpath}")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list):
+        raise DataError(f"manifest {mpath} has no list of tensors")
     arrays = {}
-    for entry in manifest["tensors"]:
+    for entry in entries:
         if not isinstance(entry, dict) or not {"name", "shape", "dtype", "offset"} <= entry.keys():
             raise DataError(f"tensor entry {entry!r} needs a name, shape, dtype and offset")
         name, code, shape, start = entry["name"], entry["dtype"], entry["shape"], entry["offset"]
@@ -148,6 +151,8 @@ def load_model(path, dtype=None):
     from .model import RestorationModel, config_from_dict
 
     manifest, arrays = load_checkpoint(path)
+    if not isinstance(manifest.get("config"), dict):
+        raise DataError(f"checkpoint {_stem(path)} has no model config")
     config = config_from_dict(manifest["config"])
     params = {n: a for n, a in arrays.items() if not n.startswith(OPTIM_PREFIX)}
     if dtype is None:

@@ -71,7 +71,7 @@ class DegradationSpec:
             return f"rain-n{self.num_streaks}-i{self.intensity:g}"
         if self.kind == "lowlight":
             return f"lowlight-g{self.gain:g}-e{self.gamma:g}"
-        return "composite-" + "+".join(p.kind for p in self.parts)
+        return "composite-" + "+".join(p.tag() for p in self.parts)
 
 
 def _rain_overlay(shape, rng: np.random.Generator, spec: DegradationSpec) -> np.ndarray:
@@ -210,8 +210,17 @@ TASKS = {
 
 
 def spec_for_task(task: str, **overrides) -> DegradationSpec:
-    """The task's spec from TASKS with every non-None override applied."""
+    """The task's spec from TASKS with every non-None override applied.
+
+    A composite's overrides also go to each of its parts, since ``degrade``
+    reads a part's own fields; each part uses only those of its kind.
+    """
     if task not in TASKS:
         raise ConfigError(f"unknown task '{task}' (expected one of {sorted(TASKS)})")
+    spec = TASKS[task]
     clean = {k: v for k, v in overrides.items() if v is not None}
-    return replace(TASKS[task], **clean) if clean else TASKS[task]
+    if not clean:
+        return spec
+    if spec.kind == "composite":
+        clean["parts"] = tuple(replace(p, **clean) for p in spec.parts)
+    return replace(spec, **clean)

@@ -11,7 +11,12 @@ Conventions:
     padding, default k//2 ("same" for odd k).  It is either dense
     (groups=1) or depthwise (groups = c_in = c_out), the only two kinds the
     network uses; one loop over the kernel taps serves both, forward and
-    backward.  The network downsamples with pixel_unshuffle, never a stride.
+    backward.  Depthwise taps walk one channel block at a time, each block's
+    output about DW_BLOCK_BYTES so that it stays in L2 across the taps.  A
+    channel's sum never spans two blocks and every element still adds the
+    same taps in the same (u, v) order, so the blocking changes no bit of
+    the result.  The network downsamples with pixel_unshuffle, never a
+    stride.
   - Ops keep the dtype of their tensor operands: a float32 graph computes
     and differentiates in float32, a float64 graph in float64.  A Python
     or numpy scalar passed to add, sub, mul or div adopts the dtype of the
@@ -37,6 +42,11 @@ from .tensor import Tensor, accumulate_grad, astensor, make_node
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Output bytes of one depthwise channel block: the block's output and its
+# tap product then stay in a 1-2 MB L2 across all taps.  At the network's
+# shapes 64 KB and 1 MB blocks were slower than 256 KB, and 128 KB and
+# 512 KB about level with it.
+DW_BLOCK_BYTES = 256 * 1024
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -405,28 +415,68 @@ def _flat_padded(xd: np.ndarray, padding: int, kw: int):
     return xd.reshape(xd.shape[0], xd.shape[1], -1), xd.shape[3]
 
 
+def _depthwise_blocks(n: int, c: int, run: int, dtype):
+    """Yield (channel slice, scratch) pairs covering c channels of n x run maps.
+
+    Each block holds as many channels (at least one) as keep its n*c*run
+    elements near DW_BLOCK_BYTES; the scratch is one block-sized buffer
+    shared by all blocks, trimmed for the last one.
+    """
+    step = max(1, DW_BLOCK_BYTES // (n * run * np.dtype(dtype).itemsize))
+    tmp = np.empty((n, min(step, c), run), dtype)
+    for c0 in range(0, c, step):
+        c1 = min(c0 + step, c)
+        yield slice(c0, c1), tmp[:, :c1 - c0]
+
+
 def _conv_forward(xd, wd, padding, depthwise):
-    """Sum over the kernel taps of the shifted padded input times that tap."""
+    """Sum over the kernel taps of the shifted padded input times that tap.
+
+    Dense: one batched matmul per tap over the whole map.  Depthwise: the
+    taps walk one channel block at a time (:func:`_depthwise_blocks`), so a
+    block's output and its tap product stay in L2 across all kh*kw taps
+    instead of streaming the whole map from memory once per tap.  Each
+    output element still receives tap (0, 0) first and then every later tap
+    in the same (u, v) order, one rounding per add, so the result does not
+    depend on the block size.
+    """
     n, cin, h, w = xd.shape
     cout, _, kh, kw = wd.shape
     xf, wp = _flat_padded(xd, padding, kw)
     oh, ow = h + 2 * padding - kh + 1, wp - kw + 1
     run = oh * wp
     taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # (kh, kw, cout, cin/groups)
-    out = None
-    for u in range(kh):
-        for v in range(kw):
-            win = xf[:, :, u * wp + v:u * wp + v + run]
-            term = win * taps[u, v] if depthwise else taps[u, v] @ win
-            if out is None:
-                out = term
-            else:
-                out += term
+    if depthwise:
+        out = np.empty((n, cout, run), np.result_type(xf, taps))
+        for blk, tmp in _depthwise_blocks(n, cout, run, out.dtype):
+            o = out[:, blk]
+            for u in range(kh):
+                for v in range(kw):
+                    win = xf[:, blk, u * wp + v:u * wp + v + run]
+                    if u == 0 and v == 0:
+                        np.multiply(win, taps[0, 0, blk], out=o)
+                    else:
+                        np.multiply(win, taps[u, v, blk], out=tmp)
+                        o += tmp
+    else:
+        out = taps[0, 0] @ xf[:, :, :run]
+        for u in range(kh):
+            for v in range(kw):
+                if u or v:
+                    out += taps[u, v] @ xf[:, :, u * wp + v:u * wp + v + run]
     return out.reshape(n, cout, oh, wp)[:, :, :, :ow]
 
 
 def _conv_backward(xd, wd, g, padding, depthwise):
-    """Input and weight gradients, walking the same taps as the forward."""
+    """Input and weight gradients, walking the same taps as the forward.
+
+    Depthwise walks the same channel blocks as the forward: the block's
+    ``g * tap`` product is scattered into the input gradient and each tap's
+    weight gradient is reduced per block.  Every input-gradient element
+    still adds its taps in the same (u, v) order as an unblocked pass; the
+    weight-gradient einsum may sum a block's channels in a different order,
+    so it can differ from an unblocked pass by rounding.
+    """
     n, cin, h, w = xd.shape
     cout, _, kh, kw = wd.shape
     xf, wp = _flat_padded(xd, padding, kw)
@@ -438,13 +488,19 @@ def _conv_backward(xd, wd, g, padding, depthwise):
     taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
     gtaps = np.empty_like(taps)
     gxf = np.zeros_like(xf)
-    for u in range(kh):
-        for v in range(kw):
-            tap = slice(u * wp + v, u * wp + v + run)
-            if depthwise:
-                gxf[:, :, tap] += gf * taps[u, v]
-                gtaps[u, v, :, 0] = np.einsum("ncl,ncl->c", gf, xf[:, :, tap])
-            else:
+    if depthwise:
+        for blk, tmp in _depthwise_blocks(n, cout, run, np.result_type(gf, taps)):
+            gb = gf[:, blk]
+            for u in range(kh):
+                for v in range(kw):
+                    tap = slice(u * wp + v, u * wp + v + run)
+                    np.multiply(gb, taps[u, v, blk], out=tmp)
+                    gxf[:, blk, tap] += tmp
+                    gtaps[u, v, blk, 0] = np.einsum("ncl,ncl->c", gb, xf[:, blk, tap])
+    else:
+        for u in range(kh):
+            for v in range(kw):
+                tap = slice(u * wp + v, u * wp + v + run)
                 gxf[:, :, tap] += taps[u, v].T @ gf
                 gtaps[u, v] = np.einsum("nol,ncl->oc", gf, xf[:, :, tap], optimize=True)
     gx = gxf.reshape(n, cin, -1, wp)[:, :, padding:padding + h, padding:padding + w]

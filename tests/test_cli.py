@@ -56,6 +56,19 @@ def test_make_data_respects_task_flags(tmp_path):
     assert (tmp_path / "degraded" / "haze-t0.5-a0.9").is_dir()
 
 
+def test_make_data_composite_applies_flags_to_its_parts(tmp_path, capsys):
+    tags = []
+    for out, extra in ((tmp_path / "default", []), (tmp_path / "s5", ["--sigma", "5"])):
+        assert run(["make-data", "--out", str(out), "--count", "1", "--height", "24",
+                    "--width", "24", "--task", "composite", "--seed", "3"] + extra) == 0
+        tags.append(capsys.readouterr().out.strip().rsplit("(", 1)[1].rstrip(")"))
+    assert tags == ["composite-haze-t0.75-a0.9+gaussian_noise-s15",
+                    "composite-haze-t0.75-a0.9+gaussian_noise-s5"]
+    default, s5 = (tmp_path / d / "degraded" / t / "img_0000.ppm"
+                   for d, t in zip(("default", "s5"), tags))
+    assert default.read_bytes() != s5.read_bytes()
+
+
 def test_make_data_bad_geometry_exits_two(tmp_path):
     assert run(["make-data", "--out", str(tmp_path), "--count", "0"]) == 2
 
@@ -122,6 +135,17 @@ def test_restore_missing_input_exits_three(tmp_path):
     save_model(model, tmp_path / "m")
     assert run(["restore", "--checkpoint", str(tmp_path / "m"),
                 "--input", str(tmp_path / "nope.ppm"),
+                "--output", str(tmp_path / "o.ppm")]) == 3
+
+
+def test_restore_checkpoint_without_tensor_list_exits_three(tmp_path, rng):
+    save_model(RestorationModel(tiny_config()), tmp_path / "m")
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    del manifest["tensors"]
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    write_ppm(tmp_path / "in.ppm", rng.uniform(0.2, 0.8, size=(16, 16, 3)))
+    assert run(["restore", "--checkpoint", str(tmp_path / "m"),
+                "--input", str(tmp_path / "in.ppm"),
                 "--output", str(tmp_path / "o.ppm")]) == 3
 
 

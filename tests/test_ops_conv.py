@@ -42,6 +42,24 @@ def naive_conv2d(x, w, b=None, padding=0, groups=1):
     return out
 
 
+def plain_tap_loop(x, w, padding):
+    """Depthwise conv as one unblocked pass per tap over the whole map.
+
+    Tap (0, 0) first, then each later tap in (u, v) order, added one at a
+    time: the per-element sum the blocked kernel must reproduce bit for bit.
+    """
+    n, c, h, wd_ = x.shape
+    kh, kw = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh, ow = h + 2 * padding - kh + 1, wd_ + 2 * padding - kw + 1
+    out = None
+    for u in range(kh):
+        for v in range(kw):
+            term = xp[:, :, u:u + oh, v:v + ow] * w[:, 0, u, v][:, None, None]
+            out = term if out is None else out + term
+    return out
+
+
 def test_identity_kernel_reproduces_input(rng):
     x = rng.normal(size=(2, 3, 5, 5))
     w = np.zeros((3, 3, 3, 3))
@@ -131,3 +149,45 @@ def test_backward_matches_naive_numeric(rng, kind):
             arr[idx] = keep
             fd = (fp - fm) / (2 * eps)
             assert abs(grad[idx] - fd) < 1e-6 * max(1.0, abs(fd)), (idx, grad[idx], fd)
+
+
+# Depthwise maps that cross channel-block edges (ops.DW_BLOCK_BYTES of output
+# per block).  In float64 with a 3x3 kernel: 30 + 30 + 10 channels; 14 blocks
+# of 3 channels over a batch of 8; and one channel per block, since a single
+# channel's run is already larger than a block.
+BLOCKED_SHAPES = [(1, 70, 32, 32), (8, 42, 32, 32), (1, 3, 260, 260)]
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("shape", BLOCKED_SHAPES, ids=shape_id)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_blocked_depthwise_equals_plain_tap_loop(rng, shape, k, dtype):
+    x = rng.normal(size=shape).astype(dtype)
+    w = rng.normal(size=(shape[1], 1, k, k)).astype(dtype)
+    assert x.nbytes > ops.DW_BLOCK_BYTES
+    got = ops.conv2d(Tensor(x), Tensor(w), groups=shape[1]).data
+    want = plain_tap_loop(x, w, k // 2)
+    assert got.dtype == dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape,k", [(s, 3) for s in BLOCKED_SHAPES] + [(BLOCKED_SHAPES[0], 5)],
+                         ids=lambda v: shape_id(v) if isinstance(v, tuple) else f"k{v}")
+def test_blocked_depthwise_matches_naive_oracle(rng, shape, k):
+    c, p = shape[1], k // 2
+    x, w, g = rng.normal(size=shape), rng.normal(size=(c, 1, k, k)), rng.normal(size=shape)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    y = ops.conv2d(xt, wt, groups=c)
+    np.testing.assert_allclose(y.data, naive_conv2d(x, w, padding=p, groups=c), rtol=1e-10, atol=1e-10)
+    ops.tsum(ops.mul(y, Tensor(g))).backward()
+    # sum(g * conv(x, w)) is linear in x and in w, so its derivative along a
+    # direction is the same sum with that direction in place of x (or w)
+    dx, dw = rng.normal(size=x.shape), rng.normal(size=w.shape)
+    np.testing.assert_allclose(np.sum(xt.grad * dx),
+                               np.sum(g * naive_conv2d(dx, w, padding=p, groups=c)), rtol=1e-10)
+    np.testing.assert_allclose(np.sum(wt.grad * dw),
+                               np.sum(g * naive_conv2d(x, dw, padding=p, groups=c)), rtol=1e-10)

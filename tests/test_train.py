@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from restorekit import ops
-from restorekit.checkpoint import load_checkpoint, save_checkpoint
+from restorekit.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from restorekit.degrade import make_patch_set, spec_for_task
 from restorekit.errors import ConfigError, DataError, NumericsError, UsageError
 from restorekit.model import RestorationModel, tiny_config
@@ -211,7 +211,6 @@ def test_resume_refuses_a_different_parameter_dtype(tmp_path):
 
 def test_resume_requires_training_state(tmp_path):
     model = quick_model()
-    from restorekit.checkpoint import save_model
     save_model(model, tmp_path / "bare")
     with pytest.raises(ConfigError, match="no training state"):
         train_loop(model, small_pairs(), quick_cfg(), resume=tmp_path / "bare")
@@ -316,6 +315,28 @@ def test_checkpoint_rejects_a_malformed_tensor_entry(tmp_path, edit):
     (tmp_path / "ck.json").write_text(json.dumps(manifest))
     with pytest.raises(DataError, match="'b'"):
         load_checkpoint(stem)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("tensors"),
+    lambda m: m.update(tensors={"name": "a"}),
+], ids=["missing", "not-a-list"])
+def test_checkpoint_rejects_a_manifest_without_a_tensor_list(tmp_path, edit):
+    stem = save_checkpoint(tmp_path / "ck", {"a": np.zeros(3)}, {})
+    manifest = json.loads((tmp_path / "ck.json").read_text())
+    edit(manifest)
+    (tmp_path / "ck.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="tensors"):
+        load_checkpoint(stem)
+
+
+def test_load_model_rejects_a_manifest_without_config(tmp_path):
+    stem = save_model(RestorationModel(tiny_config()), tmp_path / "m")
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    del manifest["config"]
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="config"):
+        load_model(stem)
 
 
 def test_checkpoint_rejects_unsupported_dtype(tmp_path):
