@@ -6,6 +6,14 @@ checkpoint can be inspected with nothing but a JSON reader.  Payload bytes
 are written in manifest order with no padding; loading is exact, so
 save -> load -> forward is bit-identical.
 
+A load reads the payload once, into one writable byte array, and checks
+its size and CRC-32 there.  Each tensor is then a view of that array;
+only a tensor whose offset is not aligned for its dtype (an f64 after an
+odd-length f32, say) is copied out.  Loaded arrays are writable, and
+each load reads its own buffer, so writing into one load never shows in
+another.  ``load_model`` builds the model straight from those views,
+with no random initialization to throw away.
+
 Saves are atomic per file and ordered: the payload goes to a temp file that
 replaces ``<stem>.bin``, then the manifest replaces ``<stem>.json`` the same
 way, so the manifest is the commit point.  The manifest carries the CRC-32
@@ -79,7 +87,10 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict,
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a manifest/payload pair back into (manifest, name -> array)."""
+    """Read a manifest/payload pair back into (manifest, name -> array).
+
+    The arrays are writable views of one payload buffer (see the module note).
+    """
     stem = _stem(path)
     mpath, bpath = stem.with_suffix(".json"), stem.with_suffix(".bin")
     if not mpath.exists():
@@ -92,10 +103,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise DataError(f"manifest {mpath} is not valid JSON: {e}") from None
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"unsupported checkpoint schema {manifest.get('schema_version')!r}")
-    payload = bpath.read_bytes()
+    payload = np.fromfile(bpath, dtype=np.uint8)
     declared = manifest.get("payload_bytes")
-    if declared is not None and declared != len(payload):
-        raise DataError(f"payload is {len(payload)} bytes, manifest declares {declared}")
+    if declared is not None and declared != payload.size:
+        raise DataError(f"payload is {payload.size} bytes, manifest declares {declared}")
     crc = manifest.get("payload_crc32")
     if crc is not None and crc != zlib.crc32(payload):
         raise DataError(f"payload {bpath} does not match the CRC-32 in {mpath}")
@@ -115,9 +126,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise DataError(f"tensor '{name}' has invalid offset {start!r}")
         dt = _DTYPE_CODES[code]
         end = start + math.prod(shape) * dt.itemsize
-        if end > len(payload):
-            raise DataError(f"tensor '{name}' overruns payload ({end} > {len(payload)})")
-        arrays[name] = np.frombuffer(payload[start:end], dtype=dt).reshape(shape).copy()
+        if end > payload.size:
+            raise DataError(f"tensor '{name}' overruns payload ({end} > {payload.size})")
+        arr = payload[start:end].view(dt).reshape(shape)
+        arrays[name] = arr if arr.flags.aligned else arr.copy()
     return manifest, arrays
 
 
@@ -146,7 +158,9 @@ def load_model(path, dtype=None):
     """Rebuild the model a checkpoint was saved from.
 
     Returns (model, manifest, arrays); ``arrays`` still holds optimizer
-    entries so training can resume.  Inference only needs the model.
+    entries so training can resume.  Inference only needs the model.  The
+    parameters are the loaded arrays themselves (cast only when ``dtype``
+    differs), so nothing is drawn and nothing is copied.
     """
     from .model import RestorationModel, config_from_dict
 
@@ -157,6 +171,5 @@ def load_model(path, dtype=None):
     params = {n: a for n, a in arrays.items() if not n.startswith(OPTIM_PREFIX)}
     if dtype is None:
         dtype = params[next(iter(params))].dtype if params else np.float32
-    model = RestorationModel(config, dtype=dtype)
-    model.store.load_arrays(params)
+    model = RestorationModel(config, dtype=dtype, arrays=params)
     return model, manifest, arrays

@@ -189,13 +189,16 @@ def cmd_train(ns) -> int:
     cfg = TrainConfig(steps=ns.steps, batch_size=ns.batch, lr0=ns.lr0,
                       lr_min=ns.lr_min, lambda_fourier=ns.lambda_fourier,
                       seed=ns.seed, checkpoint_every=ns.checkpoint_every)
+    # everything besides cfg.seed that decides train_pairs; a resume must match it
+    recipe = {key: getattr(ns, key) for key in ("task", *_DEGRADE_KEYS, "count", "patch", "data")}
     out_dir = Path(ns.out)
 
     def log(rec):
         if rec["step"] % 50 == 0 or rec["step"] == cfg.steps - 1:
             print(f"step {rec['step']:5d}  lr {rec['lr']:.3e}  loss {rec['loss']:.5f}")
 
-    report = train_loop(model, train_pairs, cfg, out_dir=out_dir, resume=ns.resume, log=log)
+    report = train_loop(model, train_pairs, cfg, out_dir=out_dir, resume=ns.resume, log=log,
+                        data_recipe=recipe)
 
     summary = {"steps": cfg.steps, "train_pairs": len(train_pairs),
                "wall_time_s": report.wall_time_s,

@@ -96,14 +96,19 @@ def config_by_name(name: str, seed: int = 0) -> ModelConfig:
 
 
 class RestorationModel:
-    """Image in, restored image out; all parameters live in ``self.store``."""
+    """Image in, restored image out; all parameters live in ``self.store``.
+
+    ``arrays`` (name -> array, e.g. from a checkpoint) supplies every
+    parameter in place of a random draw; a missing, unexpected or misshaped
+    name raises ShapeError.
+    """
 
     DOWNSCALE = 8  # three pixel-unshuffle stages
 
-    def __init__(self, config: ModelConfig, dtype=np.float32):
+    def __init__(self, config: ModelConfig, dtype=np.float32, arrays: dict | None = None):
         config.validate()
         self.config = config
-        self.store = ParamStore(seed=config.seed, dtype=dtype)
+        self.store = ParamStore(seed=config.seed, dtype=dtype, arrays=arrays)
         store = self.store
         c = config.base_channels
         widths = config.level_widths()
@@ -154,6 +159,7 @@ class RestorationModel:
         ]
         self.refinement = [block(f"refinement.block{i}", 0) for i in range(config.refinement_blocks)]
         self.conv_out = Conv2d(store, "conv_out", c, 3, 3)
+        store.check_stored()
 
     # -- plumbing ---------------------------------------------------------
     @property

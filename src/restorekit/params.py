@@ -3,7 +3,9 @@
 All trainable tensors of a model live in one ParamStore, keyed by
 dotted path names in construction order.  Initialization draws from a
 single ``np.random.Generator`` seeded at construction, so the same seed
-and the same build order give bit-identical parameters.
+and the same build order give bit-identical parameters.  A store built
+with stored ``arrays`` (a checkpoint) takes each parameter from them
+instead and draws nothing.
 """
 
 from __future__ import annotations
@@ -15,21 +17,25 @@ from .tensor import Tensor
 
 
 class ParamStore:
-    def __init__(self, seed: int = 0, dtype=np.float32):
+    def __init__(self, seed: int = 0, dtype=np.float32, arrays: dict[str, np.ndarray] | None = None):
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         self.rng = np.random.default_rng(self.seed)
         self._entries: dict[str, Tensor] = {}
+        self._stored = arrays
 
     def param(self, name: str, shape, init: str = "zeros", fan_in: int | None = None) -> Tensor:
         """Create and register a trainable tensor.
 
         init: "zeros", "ones", or "fan_in" (uniform in +-1/sqrt(fan_in),
-        the usual default for conv/linear weights).
+        the usual default for conv/linear weights).  A stored array of
+        that name is used as it is (cast only to the store's dtype).
         """
         if name in self._entries:
             raise ConfigError(f"duplicate parameter name '{name}'")
-        if init == "zeros":
+        if self._stored is not None and name in self._stored:
+            data = self._fit(name, self._stored[name], tuple(shape))
+        elif init == "zeros":
             data = np.zeros(shape, dtype=self.dtype)
         elif init == "ones":
             data = np.ones(shape, dtype=self.dtype)
@@ -71,13 +77,27 @@ class ParamStore:
             t.grad = None
 
     def load_arrays(self, arrays: dict[str, np.ndarray]):
-        """Copy values in, validating the name set and every shape."""
+        """Take values in, validating the name set and every shape.
+
+        An array already of the store's dtype and contiguous is kept, not copied.
+        """
+        self._check_names(arrays)
+        for name, t in self._entries.items():
+            t.data = self._fit(name, arrays[name], t.data.shape)
+
+    def check_stored(self):
+        """After construction: the stored arrays must name exactly these parameters."""
+        if self._stored is not None:
+            self._check_names(self._stored)
+
+    def _check_names(self, arrays):
         missing = [n for n in self._entries if n not in arrays]
         extra = [n for n in arrays if n not in self._entries]
         if missing or extra:
             raise ShapeError(f"parameter set mismatch: missing={missing[:3]}, unexpected={extra[:3]}")
-        for name, t in self._entries.items():
-            arr = np.asarray(arrays[name])
-            if arr.shape != t.data.shape:
-                raise ShapeError(f"parameter '{name}': stored shape {arr.shape} != expected {t.data.shape}")
-            t.data = np.ascontiguousarray(arr, dtype=t.data.dtype)
+
+    def _fit(self, name: str, arr, shape: tuple) -> np.ndarray:
+        arr = np.asarray(arr)
+        if arr.shape != shape:
+            raise ShapeError(f"parameter '{name}': stored shape {arr.shape} != expected {shape}")
+        return np.ascontiguousarray(arr, dtype=self.dtype)

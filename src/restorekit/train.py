@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ops
 from .checkpoint import OPTIM_PREFIX, load_checkpoint, save_model
-from .errors import ConfigError, NumericsError, UsageError
+from .errors import ConfigError, DataError, NumericsError, UsageError
 from .params import ParamStore
 from .tensor import Tensor, finite_trace
 
@@ -87,10 +87,21 @@ class OptimizerState:
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray], t: int):
+        """Take the stored moments as they are (Adam updates them in place).
+
+        Each ``m.<name>`` and ``v.<name>`` must be there with its
+        parameter's shape and dtype, else DataError names the first that is not.
+        """
+        for key, zero in self.arrays().items():
+            arr = arrays.get(key)
+            if arr is None:
+                raise DataError(f"checkpoint has no Adam moment '{key}'")
+            if arr.shape != zero.shape or arr.dtype != zero.dtype:
+                raise DataError(f"Adam moment '{key}' is {arr.dtype} {arr.shape}, "
+                                f"its parameter {zero.dtype} {zero.shape}")
         self.t = t
-        for name in self.m:
-            self.m[name] = np.array(arrays[f"m.{name}"])
-            self.v[name] = np.array(arrays[f"v.{name}"])
+        self.m = {name: arrays[f"m.{name}"] for name in self.m}
+        self.v = {name: arrays[f"v.{name}"] for name in self.v}
 
 
 def adam_step(store: ParamStore, state: OptimizerState, lr: float,
@@ -142,15 +153,17 @@ def _truncate_report(path: Path, start_step: int):
 
 
 def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
-               log=None) -> TrainingReport:
+               log=None, data_recipe: dict | None = None) -> TrainingReport:
     """Run (or continue) a training run to cfg.steps total optimizer steps.
 
-    pairs: list of (degraded, clean) CHW arrays.  out_dir (optional) gets
-    report.jsonl plus ckpt_final and any periodic checkpoints.  resume: a
-    checkpoint stem written by a previous run with the same TrainConfig
-    (checkpoint_every aside) and parameter dtype, else ConfigError naming
-    the first difference; the report then keeps the records before the
-    checkpoint's step, so each step appears once.
+    pairs: list of (degraded, clean) CHW arrays.  data_recipe (optional):
+    the JSON-able settings ``pairs`` were built from, recorded in every
+    checkpoint.  out_dir (optional) gets report.jsonl plus ckpt_final and
+    any periodic checkpoints.  resume: a checkpoint stem written by a
+    previous run with the same TrainConfig (checkpoint_every aside),
+    parameter dtype and data recipe, else ConfigError naming the first
+    difference; the report then keeps the records before the checkpoint's
+    step, so each step appears once.
     """
     cfg.validate()
     if not pairs:
@@ -166,8 +179,9 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
         if "step" not in ts:
             raise ConfigError(f"checkpoint {resume} has no training state to resume from")
         params = {n: a for n, a in arrays.items() if not n.startswith(OPTIM_PREFIX)}
-        saved = {"dtype": str(next(iter(params.values())).dtype), **(ts.get("train_config") or {})}
-        for name, value in {"dtype": str(store.dtype), **asdict(cfg)}.items():
+        saved = {"dtype": str(next(iter(params.values())).dtype), **(ts.get("train_config") or {}),
+                 **(ts.get("data_recipe") or {})}
+        for name, value in {"dtype": str(store.dtype), **asdict(cfg), **(data_recipe or {})}.items():
             # checkpoint_every only decides when snapshots are written
             if name != "checkpoint_every" and saved.get(name) != value:
                 raise ConfigError(f"checkpoint {resume} has {name}={saved.get(name)!r}, this run has {value!r}")
@@ -187,7 +201,7 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
 
     def snapshot(tag: str, step: int) -> Path:
         train_state = {"step": step, "rng_state": rng.bit_generator.state,
-                       "train_config": asdict(cfg)}
+                       "train_config": asdict(cfg), "data_recipe": data_recipe}
         stem = save_model(model, out_dir / tag, train_state=train_state,
                           optim_arrays=state.arrays())
         report.checkpoints.append(str(stem))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from restorekit import cli, ops
-from restorekit.checkpoint import load_checkpoint, save_model
+from restorekit.checkpoint import load_checkpoint, save_checkpoint, save_model
 from restorekit.model import RestorationModel, tiny_config
 from restorekit.ppm import read_ppm, write_ppm
 from restorekit.train import TrainConfig
@@ -209,15 +209,47 @@ def test_config_file_invalid_json_exits_two(tmp_path):
                 "--config", str(tmp_path / "missing.json")]) == 2
 
 
+def trained_with_checkpoints(out):
+    """Train two tiny steps with a checkpoint after each; returns the argv used."""
+    argv = ["train", "--out", str(out), "--steps", "2", "--batch", "2", "--count", "4",
+            "--holdout", "0", "--patch", "16", "--checkpoint-every", "1"]
+    assert run(argv) == 0
+    return argv
+
+
 @pytest.mark.parametrize("flag, value, named", [("--steps", "3", "steps="), ("--lr0", "1.0", "lr0="),
                                                 ("--precision", "f64", "dtype='float32'")])
 def test_resume_with_a_different_setup_exits_two(tmp_path, capsys, flag, value, named):
     out = tmp_path / "run"
-    argv = ["train", "--out", str(out), "--steps", "2", "--batch", "2", "--count", "4",
-            "--holdout", "0", "--patch", "16", "--checkpoint-every", "1"]
-    assert run(argv) == 0
+    argv = trained_with_checkpoints(out)
     assert run(argv + ["--resume", str(out / "ckpt_step000001"), flag, value]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--task", "derain", "task="), ("--sigma", "5", "sigma="), ("--count", "6", "count="),
+    ("--patch", "24", "patch="), ("--data", "{clean}", "data="),
+], ids=["task", "degradation", "count", "patch", "data"])
+def test_resume_on_different_data_exits_two(tmp_path, capsys, flag, value, named):
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    write_ppm(clean / "a.ppm", np.full((32, 32, 3), 128, dtype=np.uint8))
+    out = tmp_path / "run"
+    argv = trained_with_checkpoints(out)
+    resume = ["--resume", str(out / "ckpt_step000001"), flag, value.format(clean=clean)]
+    assert run(argv + resume) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_resume_without_an_adam_moment_exits_three(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = trained_with_checkpoints(out)
+    manifest, arrays = load_checkpoint(out / "ckpt_step000001")
+    del arrays["optim.m.conv_in.weight"]
+    stem = save_checkpoint(out / "ckpt_step000001", arrays, manifest["config"],
+                           manifest["train_state"])
+    assert run(argv + ["--resume", str(stem)]) == 3
+    assert "m.conv_in.weight" in capsys.readouterr().err
 
 
 def test_train_bad_patch_exits_two(tmp_path):

@@ -6,11 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from restorekit import ops
+from restorekit import ops, train
 from restorekit.checkpoint import load_checkpoint, load_model, save_checkpoint, save_model
 from restorekit.degrade import make_patch_set, spec_for_task
-from restorekit.errors import ConfigError, DataError, NumericsError, UsageError
-from restorekit.model import RestorationModel, tiny_config
+from restorekit.errors import ConfigError, DataError, NumericsError, ShapeError, UsageError
+from restorekit.model import RestorationModel, config_to_dict, tiny_config
 from restorekit.params import ParamStore
 from restorekit.tensor import Tensor
 from restorekit.train import (OptimizerState, TrainConfig, adam_step, cosine_lr,
@@ -209,6 +209,53 @@ def test_resume_refuses_a_different_parameter_dtype(tmp_path):
                    resume=tmp_path / "ckpt_step000002")
 
 
+def test_resume_keeps_the_loaded_arrays_without_copying(tmp_path, monkeypatch):
+    """Parameters and Adam moments of a resumed run live in the loaded payload."""
+    pairs = small_pairs()
+    train_loop(quick_model(), pairs, quick_cfg(steps=4, checkpoint_every=2), out_dir=tmp_path)
+    loaded, states = [], []
+    real_load, real_take = train.load_checkpoint, OptimizerState.load_arrays
+
+    def load(path):
+        loaded.append(real_load(path))
+        return loaded[-1]
+
+    def take(state, arrays, t):
+        states.append(state)
+        real_take(state, arrays, t)
+
+    monkeypatch.setattr(train, "load_checkpoint", load)
+    monkeypatch.setattr(OptimizerState, "load_arrays", take)
+    model = quick_model()
+    train_loop(model, pairs, quick_cfg(steps=4), resume=tmp_path / "ckpt_step000002")
+    (_, arrays), (state,) = loaded[0], states
+    for name, p in model.store.items():
+        assert np.shares_memory(p.data, arrays[name])
+        assert np.shares_memory(state.m[name], arrays[f"optim.m.{name}"])
+        assert np.shares_memory(state.v[name], arrays[f"optim.v.{name}"])
+
+
+def _rewrite_checkpoint(stem, drop=None, reshape=None):
+    """Rewrite a checkpoint with one entry dropped or one entry given a new shape."""
+    manifest, arrays = load_checkpoint(stem)
+    arrays.pop(drop, None)
+    if reshape is not None:
+        arrays[reshape] = np.zeros(arrays[reshape].size + 1, dtype=arrays[reshape].dtype)
+    return save_checkpoint(stem, arrays, manifest["config"], manifest["train_state"])
+
+
+@pytest.mark.parametrize("edit, named", [
+    (dict(drop="optim.m.conv_in.weight"), "no Adam moment 'm.conv_in.weight'"),
+    (dict(reshape="optim.v.conv_out.bias"), "Adam moment 'v.conv_out.bias'"),
+], ids=["missing", "misshaped"])
+def test_resume_refuses_a_bad_adam_moment(tmp_path, edit, named):
+    pairs = small_pairs()
+    train_loop(quick_model(), pairs, quick_cfg(steps=4, checkpoint_every=2), out_dir=tmp_path)
+    stem = _rewrite_checkpoint(tmp_path / "ckpt_step000002", **edit)
+    with pytest.raises(DataError, match=named):
+        train_loop(quick_model(), pairs, quick_cfg(steps=4), resume=stem)
+
+
 def test_resume_requires_training_state(tmp_path):
     model = quick_model()
     save_model(model, tmp_path / "bare")
@@ -337,6 +384,51 @@ def test_load_model_rejects_a_manifest_without_config(tmp_path):
     (tmp_path / "m.json").write_text(json.dumps(manifest))
     with pytest.raises(DataError, match="config"):
         load_model(stem)
+
+
+def test_loaded_arrays_are_writable_and_private_to_their_load(tmp_path, rng):
+    stem = save_checkpoint(tmp_path / "ck", {"a": rng.normal(size=(3, 4)), "b": np.ones(5)}, {})
+    _, first = load_checkpoint(stem)
+    for arr in first.values():
+        assert arr.flags.writeable
+        arr[...] = 0
+    _, second = load_checkpoint(stem)
+    np.testing.assert_array_equal(second["b"], np.ones(5))
+    assert not np.any(second["a"] == 0)
+
+
+def test_checkpoint_loads_a_misaligned_tensor_exactly(tmp_path, rng):
+    # three f32 values put the f64 tensor at byte offset 12, not a multiple of 8
+    arrays = {"odd": rng.normal(size=3).astype(np.float32), "wide": rng.normal(size=(2, 5))}
+    stem = save_checkpoint(tmp_path / "ck", arrays, {})
+    manifest, back = load_checkpoint(stem)
+    assert manifest["tensors"][1]["offset"] == 12
+    for name, arr in arrays.items():
+        assert back[name].dtype == arr.dtype and back[name].flags.aligned
+        assert back[name].tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda a: a.update(extra=np.zeros(2, dtype=np.float32)), r"unexpected=\['extra'\]"),
+    (lambda a: a.pop("conv_out.bias"), r"missing=\['conv_out.bias'\]"),
+    (lambda a: a.update({"conv_in.bias": np.zeros(3, dtype=np.float32)}), "'conv_in.bias'"),
+], ids=["unexpected", "missing", "misshaped"])
+def test_load_model_rejects_a_parameter_set_mismatch(tmp_path, edit, named):
+    model = RestorationModel(tiny_config())
+    arrays = {name: t.data for name, t in model.store.items()}
+    edit(arrays)
+    stem = save_checkpoint(tmp_path / "m", arrays, config_to_dict(model.config))
+    with pytest.raises(ShapeError, match=named):
+        load_model(stem)
+
+
+def test_load_model_draws_no_random_numbers(tmp_path):
+    seed = 11
+    stem = save_model(RestorationModel(tiny_config(seed=seed)), tmp_path / "m")
+    untouched = np.random.default_rng(seed).bit_generator.state
+    assert RestorationModel(tiny_config(seed=seed)).store.rng.bit_generator.state != untouched
+    loaded, _, _ = load_model(stem)
+    assert loaded.store.rng.bit_generator.state == untouched
 
 
 def test_checkpoint_rejects_unsupported_dtype(tmp_path):
