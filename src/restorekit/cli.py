@@ -19,7 +19,8 @@ import numpy as np
 
 from . import ops
 from .checkpoint import load_model
-from .degrade import TASKS, degrade, make_patch_set, procedural_image, spec_for_task
+from .degrade import (TASKS, clean_sources_crc32, degrade, make_patch_set, procedural_image,
+                      spec_for_task)
 from .errors import ConfigError, DataError, NumericsError, ShapeError, UsageError
 from .gradcheck import (MODEL_TOL, MODULE_TOL, PRIMITIVE_TOL, check_model, check_modules,
                         check_primitives)
@@ -191,6 +192,8 @@ def cmd_train(ns) -> int:
                       seed=ns.seed, checkpoint_every=ns.checkpoint_every)
     # everything besides cfg.seed that decides train_pairs; a resume must match it
     recipe = {key: getattr(ns, key) for key in ("task", *_DEGRADE_KEYS, "count", "patch", "data")}
+    # the same --data path with other images must not resume
+    recipe["data_crc32"] = clean_sources_crc32(ns.data) if ns.data else None
     out_dir = Path(ns.out)
 
     def log(rec):

@@ -12,6 +12,7 @@ measures within a couple tenths of a dB of the unclipped 20.17 dB PSNR.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -152,13 +153,27 @@ def procedural_image(height: int, width: int, rng: np.random.Generator) -> np.nd
     return np.clip(img, 0.0, 1.0)
 
 
-def _load_clean_sources(clean_dir) -> list[np.ndarray]:
-    from .ppm import read_ppm
-
+def _clean_source_paths(clean_dir) -> list[Path]:
     paths = sorted(Path(clean_dir).glob("*.ppm"))
     if not paths:
         raise DataError(f"no .ppm files found in {clean_dir}")
-    return [read_ppm(p).astype(np.float64) for p in paths]
+    return paths
+
+
+def _load_clean_sources(clean_dir) -> list[np.ndarray]:
+    from .ppm import read_ppm
+
+    return [read_ppm(p).astype(np.float64) for p in _clean_source_paths(clean_dir)]
+
+
+def clean_sources_crc32(clean_dir) -> str:
+    """CRC-32 (8 hex digits) over the sorted names and bytes of the PPMs that
+    :func:`make_patch_set` reads from ``clean_dir``."""
+    crc = 0
+    for p in _clean_source_paths(clean_dir):
+        crc = zlib.crc32(p.name.encode() + b"\0", crc)
+        crc = zlib.crc32(p.read_bytes(), crc)
+    return f"{crc:08x}"
 
 
 def make_patch_set(spec: DegradationSpec, count: int, patch: int = 32, seed: int = 0,

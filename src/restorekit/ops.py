@@ -12,11 +12,15 @@ Conventions:
     (groups=1) or depthwise (groups = c_in = c_out), the only two kinds the
     network uses; one loop over the kernel taps serves both, forward and
     backward.  Depthwise taps walk one channel block at a time, each block's
-    output about DW_BLOCK_BYTES so that it stays in L2 across the taps.  A
-    channel's sum never spans two blocks and every element still adds the
-    same taps in the same (u, v) order, so the blocking changes no bit of
-    the result.  The network downsamples with pixel_unshuffle, never a
-    stride.
+    output about DW_BLOCK_BYTES so that it stays in L2 across the taps.
+    Padding is block-local: each block is zero-padded into a reused
+    scratch, and its cropped sum, plus the bias, is written straight into
+    the output (the backward likewise pads the block's input and output
+    gradient and crops its input gradient), so no padded copy of a whole
+    map is made.  A channel's sum never spans two blocks and every element
+    still adds the same taps in the same (u, v) order, so the blocking
+    changes no bit of the result.  The network downsamples with
+    pixel_unshuffle, never a stride.
   - Ops keep the dtype of their tensor operands: a float32 graph computes
     and differentiates in float32, a float64 graph in float64.  A Python
     or numpy scalar passed to add, sub, mul or div adopts the dtype of the
@@ -403,75 +407,122 @@ def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
 def _flat_padded(xd: np.ndarray, padding: int, kw: int):
     """Zero-pad the spatial axes of NCHW ``xd`` and flatten them to one axis.
 
-    Returns the (n, c, plane) array and the padded width ``wp``.  Kernel tap
+    Returns the (n, c, plane) array; with ``wp`` the padded width, kernel tap
     (u, v) then reads the contiguous run ``[u*wp + v, u*wp + v + oh*wp)`` of
     every channel: output rows are computed at the padded width, and their
     last kw-1 columns, which wrap into the next row, are cropped.  For kw > 1
     one extra zero row at the bottom keeps the last tap's run in bounds.
+    Only the dense path pads a whole map; depthwise pads one block at a time
+    (:func:`_pad_block`).
     """
     extra = int(kw > 1)
     if padding or extra:
         xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding + extra), (padding, padding)))
-    return xd.reshape(xd.shape[0], xd.shape[1], -1), xd.shape[3]
+    return xd.reshape(xd.shape[0], xd.shape[1], -1)
 
 
 def _depthwise_blocks(n: int, c: int, run: int, dtype):
-    """Yield (channel slice, scratch) pairs covering c channels of n x run maps.
+    """Channel slices covering c channels of n x run maps, and the widest one's width.
 
     Each block holds as many channels (at least one) as keep its n*c*run
-    elements near DW_BLOCK_BYTES; the scratch is one block-sized buffer
-    shared by all blocks, trimmed for the last one.
+    elements near DW_BLOCK_BYTES, so the block's scratch buffers, allocated
+    once at the widest block's width, stay in L2 across all taps.
     """
-    step = max(1, DW_BLOCK_BYTES // (n * run * np.dtype(dtype).itemsize))
-    tmp = np.empty((n, min(step, c), run), dtype)
-    for c0 in range(0, c, step):
-        c1 = min(c0 + step, c)
-        yield slice(c0, c1), tmp[:, :c1 - c0]
+    step = min(c, max(1, DW_BLOCK_BYTES // (n * run * np.dtype(dtype).itemsize)))
+    return step, [slice(c0, min(c0 + step, c)) for c0 in range(0, c, step)]
 
 
-def _conv_forward(xd, wd, padding, depthwise):
-    """Sum over the kernel taps of the shifted padded input times that tap.
+def _pad_block(buf: np.ndarray, src: np.ndarray, top: int, left: int):
+    """Copy NCHW ``src`` into the zero-bordered scratch ``buf`` at (top, left).
 
-    Dense: one batched matmul per tap over the whole map.  Depthwise: the
-    taps walk one channel block at a time (:func:`_depthwise_blocks`), so a
-    block's output and its tap product stay in L2 across all kh*kw taps
-    instead of streaming the whole map from memory once per tap.  Each
-    output element still receives tap (0, 0) first and then every later tap
-    in the same (u, v) order, one rounding per add, so the result does not
-    depend on the block size.
+    ``buf`` is (n, step, H, W) with step >= src's channels and is zeroed
+    once when allocated; only this interior is ever written, so the borders
+    stay zero from block to block.  Returns the filled channels flattened to
+    (n, c, H*W), the layout the tap loop reads.
+    """
+    n, c, h, w = src.shape
+    blk = buf[:, :c]
+    blk[:, :, top:top + h, left:left + w] = src
+    return blk.reshape(n, c, -1)
+
+
+def _crop_bias(acc: np.ndarray, ow: int, bias, out: np.ndarray):
+    """Write the first ``ow`` columns of ``acc``, plus the per-channel bias, into ``out``."""
+    if bias is None:
+        np.copyto(out, acc[..., :ow])
+    else:
+        np.add(acc[..., :ow], bias[:, None, None], out=out)
+
+
+def _conv_forward(xd, wd, bd, padding, depthwise):
+    """Sum over the kernel taps of the shifted padded input times that tap, plus bias.
+
+    Dense: one batched matmul per tap over the padded map; a 1x1 conv adds
+    its bias in place on the matmul output.  Depthwise: the taps walk one
+    channel block at a time (:func:`_depthwise_blocks`).  Each block is
+    zero-padded into a reused scratch, its taps are summed into a second
+    one, and the cropped sum plus bias is written straight into the output,
+    so the whole map is read once and written once.  Each output element
+    still receives tap (0, 0) first and then every later tap in the same
+    (u, v) order, one rounding per add, so the result does not depend on
+    the block size.
     """
     n, cin, h, w = xd.shape
     cout, _, kh, kw = wd.shape
-    xf, wp = _flat_padded(xd, padding, kw)
+    extra = int(kw > 1)
+    hp, wp = h + 2 * padding + extra, w + 2 * padding
     oh, ow = h + 2 * padding - kh + 1, wp - kw + 1
     run = oh * wp
     taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # (kh, kw, cout, cin/groups)
-    if depthwise:
-        out = np.empty((n, cout, run), np.result_type(xf, taps))
-        for blk, tmp in _depthwise_blocks(n, cout, run, out.dtype):
-            o = out[:, blk]
-            for u in range(kh):
-                for v in range(kw):
-                    win = xf[:, blk, u * wp + v:u * wp + v + run]
-                    if u == 0 and v == 0:
-                        np.multiply(win, taps[0, 0, blk], out=o)
-                    else:
-                        np.multiply(win, taps[u, v, blk], out=tmp)
-                        o += tmp
-    else:
-        out = taps[0, 0] @ xf[:, :, :run]
+    dt = np.result_type(xd, taps)
+    out_dt = dt if bd is None else np.result_type(dt, bd)
+    if not depthwise:
+        xf = _flat_padded(xd, padding, kw)
+        acc = taps[0, 0] @ xf[:, :, :run]
         for u in range(kh):
             for v in range(kw):
                 if u or v:
-                    out += taps[u, v] @ xf[:, :, u * wp + v:u * wp + v + run]
-    return out.reshape(n, cout, oh, wp)[:, :, :, :ow]
+                    acc += taps[u, v] @ xf[:, :, u * wp + v:u * wp + v + run]
+        acc = acc.reshape(n, cout, oh, wp)
+        if ow == wp and out_dt == dt:
+            if bd is not None:
+                acc += bd[:, None, None]
+            return acc
+        out = np.empty((n, cout, oh, ow), out_dt)
+        _crop_bias(acc, ow, bd, out)
+        return out
+    out = np.empty((n, cout, oh, ow), out_dt)
+    step, blocks = _depthwise_blocks(n, cout, run, dt)
+    xbuf = np.zeros((n, step, hp, wp), xd.dtype)
+    accbuf = np.empty((n, step, run), dt)
+    tmpbuf = np.empty_like(accbuf)
+    for blk in blocks:
+        cb = blk.stop - blk.start
+        xf = _pad_block(xbuf, xd[:, blk], padding, padding)
+        acc, tmp = accbuf[:, :cb], tmpbuf[:, :cb]
+        for u in range(kh):
+            for v in range(kw):
+                win = xf[:, :, u * wp + v:u * wp + v + run]
+                if u == 0 and v == 0:
+                    np.multiply(win, taps[0, 0, blk], out=acc)
+                else:
+                    np.multiply(win, taps[u, v, blk], out=tmp)
+                    acc += tmp
+        _crop_bias(acc.reshape(n, cb, oh, wp), ow, None if bd is None else bd[blk], out[:, blk])
+    return out
 
 
 def _conv_backward(xd, wd, g, padding, depthwise):
     """Input and weight gradients, walking the same taps as the forward.
 
-    Depthwise walks the same channel blocks as the forward: the block's
-    ``g * tap`` product is scattered into the input gradient and each tap's
+    The output gradient is read at the padded width, with zeros in the
+    kw-1 wrapped columns so they add nothing.  Dense: per tap, one matmul
+    scatters into the padded input gradient and one batched matmul summed
+    over the batch gives the weight gradient.  Depthwise walks the same
+    channel blocks as the forward: the block's input and output gradient
+    are padded into reused scratches (:func:`_pad_block`), the block's
+    ``g * tap`` products are scattered into a block-sized input-gradient
+    scratch, which is cropped into the input gradient, and each tap's
     weight gradient is reduced per block.  Every input-gradient element
     still adds its taps in the same (u, v) order as an unblocked pass; the
     weight-gradient einsum may sum a block's channels in a different order,
@@ -479,31 +530,48 @@ def _conv_backward(xd, wd, g, padding, depthwise):
     """
     n, cin, h, w = xd.shape
     cout, _, kh, kw = wd.shape
-    xf, wp = _flat_padded(xd, padding, kw)
+    extra = int(kw > 1)
+    hp, wp = h + 2 * padding + extra, w + 2 * padding
     oh, ow = g.shape[2], g.shape[3]
     run = oh * wp
-    if ow < wp:  # zero gradient on the wrapped columns, so they add nothing
-        g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow)))
-    gf = g.reshape(n, cout, run)
     taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
     gtaps = np.empty_like(taps)
-    gxf = np.zeros_like(xf)
-    if depthwise:
-        for blk, tmp in _depthwise_blocks(n, cout, run, np.result_type(gf, taps)):
-            gb = gf[:, blk]
-            for u in range(kh):
-                for v in range(kw):
-                    tap = slice(u * wp + v, u * wp + v + run)
-                    np.multiply(gb, taps[u, v, blk], out=tmp)
-                    gxf[:, blk, tap] += tmp
-                    gtaps[u, v, blk, 0] = np.einsum("ncl,ncl->c", gb, xf[:, blk, tap])
-    else:
+    if not depthwise:
+        xf = _flat_padded(xd, padding, kw)
+        if ow < wp:
+            g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow)))
+        gf = g.reshape(n, cout, run)
+        gxf = np.zeros_like(xf)
         for u in range(kh):
             for v in range(kw):
                 tap = slice(u * wp + v, u * wp + v + run)
                 gxf[:, :, tap] += taps[u, v].T @ gf
-                gtaps[u, v] = np.einsum("nol,ncl->oc", gf, xf[:, :, tap], optimize=True)
-    gx = gxf.reshape(n, cin, -1, wp)[:, :, padding:padding + h, padding:padding + w]
+                gtaps[u, v] = (gf @ xf[:, :, tap].transpose(0, 2, 1)).sum(axis=0)
+        gx = gxf.reshape(n, cin, hp, wp)[:, :, padding:padding + h, padding:padding + w]
+        return gx, np.ascontiguousarray(gtaps.transpose(2, 3, 0, 1))
+    gx = np.empty_like(xd)
+    dt = np.result_type(g, taps)
+    step, blocks = _depthwise_blocks(n, cout, run, dt)
+    xbuf = np.zeros((n, step, hp, wp), xd.dtype)
+    gbuf = np.zeros((n, step, oh, wp), g.dtype)
+    gxbuf = np.empty((n, step, hp * wp), xd.dtype)
+    tmpbuf = np.empty((n, step, run), dt)
+    for blk in blocks:
+        cb = blk.stop - blk.start
+        xf = _pad_block(xbuf, xd[:, blk], padding, padding)
+        gb = _pad_block(gbuf, g[:, blk], 0, 0)
+        gxb, tmp = gxbuf[:, :cb], tmpbuf[:, :cb]
+        gxb[:, :, run:] = 0
+        for u in range(kh):
+            for v in range(kw):
+                tap = slice(u * wp + v, u * wp + v + run)
+                if u == 0 and v == 0:
+                    np.multiply(gb, taps[0, 0, blk], out=gxb[:, :, :run])
+                else:
+                    np.multiply(gb, taps[u, v, blk], out=tmp)
+                    gxb[:, :, tap] += tmp
+                gtaps[u, v, blk, 0] = np.einsum("ncl,ncl->c", gb, xf[:, :, tap])
+        gx[:, blk] = gxb.reshape(n, cb, hp, wp)[:, :, padding:padding + h, padding:padding + w]
     return gx, np.ascontiguousarray(gtaps.transpose(2, 3, 0, 1))
 
 
@@ -515,6 +583,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None, gr
     means k//2, "same" for odd kernels; output size is h + 2p - k + 1.
     ``stride`` stays in the signature for callers that pass it positionally;
     anything but 1 raises :class:`ConfigError`, as does any other group count.
+    The bias is added inside the kernel as the output is written; the
+    result is C-contiguous.
     """
     x, weight = astensor(x), astensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -532,16 +602,15 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None, gr
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
 
-    xd, wd = x.data, weight.data
-    depthwise = groups > 1
-    data = _conv_forward(xd, wd, padding, depthwise)
     parents = [x, weight]
     if bias is not None:
         bias = astensor(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"bias shape {bias.shape} does not match c_out={cout}")
-        data = data + bias.data[None, :, None, None]
         parents.append(bias)
+    xd, wd = x.data, weight.data
+    depthwise = groups > 1
+    data = _conv_forward(xd, wd, None if bias is None else bias.data, padding, depthwise)
 
     def backward(g):
         gx, gw = _conv_backward(xd, wd, g, padding, depthwise)

@@ -241,6 +241,21 @@ def test_resume_on_different_data_exits_two(tmp_path, capsys, flag, value, named
     assert named in capsys.readouterr().err
 
 
+def test_resume_on_changed_data_contents_exits_two(tmp_path, capsys):
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    write_ppm(clean / "a.ppm", np.full((32, 32, 3), 0.5))
+    out = tmp_path / "run"
+    argv = trained_with_checkpoints(out) + ["--data", str(clean)]
+    assert run(argv) == 0
+    resume = ["--resume", str(out / "ckpt_step000001")]
+    assert run(argv + resume) == 0  # same path, same bytes
+    write_ppm(clean / "a.ppm", np.full((32, 32, 3), 0.25))
+    capsys.readouterr()
+    assert run(argv + resume) == 2
+    assert "data_crc32=" in capsys.readouterr().err
+
+
 def test_resume_without_an_adam_moment_exits_three(tmp_path, capsys):
     out = tmp_path / "run"
     argv = trained_with_checkpoints(out)

@@ -1,5 +1,7 @@
 """Convolution against a six-loop direct oracle, plus geometry and errors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,59 @@ def test_blocked_depthwise_matches_naive_oracle(rng, shape, k):
                                np.sum(g * naive_conv2d(dx, w, padding=p, groups=c)), rtol=1e-10)
     np.testing.assert_allclose(np.sum(wt.grad * dw),
                                np.sum(g * naive_conv2d(x, dw, padding=p, groups=c)), rtol=1e-10)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("shape", BLOCKED_SHAPES, ids=shape_id)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_blocked_depthwise_with_bias_equals_plain_tap_loop_plus_bias(rng, shape, k, dtype):
+    # the bias is added as each block's output is cropped, not in a second pass
+    x = rng.normal(size=shape).astype(dtype)
+    w = rng.normal(size=(shape[1], 1, k, k)).astype(dtype)
+    b = rng.normal(size=shape[1]).astype(dtype)
+    got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), groups=shape[1]).data
+    want = plain_tap_loop(x, w, k // 2) + b[:, None, None]
+    assert got.dtype == dtype and got.flags["C_CONTIGUOUS"]
+    assert np.array_equal(got, want)
+
+
+# Dense shapes wider than MODEL_KINDS, at batch 1 and 8: (x shape, c_out, k).
+DENSE_SHAPES = [((1, 48, 16, 16), 96, 1), ((8, 16, 12, 12), 32, 1),
+                ((1, 48, 8, 8), 96, 3), ((8, 16, 8, 8), 32, 3)]
+
+
+@pytest.mark.parametrize("shape,cout,k", DENSE_SHAPES,
+                         ids=[f"{shape_id(s)}-{c}-k{k}" for s, c, k in DENSE_SHAPES])
+def test_dense_gradients_match_naive_oracle(rng, shape, cout, k):
+    p = k // 2
+    x, w = rng.normal(size=shape), rng.normal(size=(cout, shape[1], k, k))
+    g = rng.normal(size=(shape[0], cout) + shape[2:])
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    ops.tsum(ops.mul(ops.conv2d(xt, wt), Tensor(g))).backward()
+    # directional derivatives of the bilinear sum(g * conv(x, w)), as above
+    dx, dw = rng.normal(size=x.shape), rng.normal(size=w.shape)
+    np.testing.assert_allclose(np.sum(xt.grad * dx), np.sum(g * naive_conv2d(dx, w, padding=p)), rtol=1e-10)
+    np.testing.assert_allclose(np.sum(wt.grad * dw), np.sum(g * naive_conv2d(x, dw, padding=p)), rtol=1e-10)
+
+
+def test_depthwise_peak_memory_is_block_local(rng):
+    # no full padded copy of the input, output or gradient: beyond the
+    # result, a call holds only a few block-sized scratches
+    x = rng.normal(size=(1, 64, 96, 96)).astype(np.float32)
+    w = rng.normal(size=(64, 1, 3, 3)).astype(np.float32)
+    b = rng.normal(size=64).astype(np.float32)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    tracemalloc.start()
+    try:
+        y = ops.conv2d(xt, wt, bt, groups=64)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        y.backward(g)
+        backward_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    slack = 8 * ops.DW_BLOCK_BYTES
+    assert forward_peak < y.data.nbytes + slack
+    assert backward_peak < xt.grad.nbytes + wt.grad.nbytes + slack
