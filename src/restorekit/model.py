@@ -63,6 +63,11 @@ class ModelConfig:
             raise ConfigError("base_channels must be at least 4")
         if any(b < 1 for b in self.enc_blocks) or self.refinement_blocks < 0:
             raise ConfigError("block counts must be positive")
+        # divisors below: a 0 would otherwise escape as ZeroDivisionError
+        divisors = {"gn_groups": self.gn_groups, "se_reduction": self.se_reduction, "heads": min(self.heads)}
+        for name, low in divisors.items():
+            if low < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         for w, h in zip(self.level_widths(), self.heads):
             if w % h:
                 raise ConfigError(f"heads={h} does not divide width {w}")

@@ -7,20 +7,23 @@ hand-written backwards; gap and chunk reuse the primitives and inherit
 their gradients.
 
 Conventions:
-  - conv2d computes stride-1 cross-correlation (no kernel flip) with zero
-    padding, default k//2 ("same" for odd k).  It is either dense
-    (groups=1) or depthwise (groups = c_in = c_out), the only two kinds the
-    network uses; one loop over the kernel taps serves both, forward and
-    backward.  Depthwise taps walk one channel block at a time, each block's
-    output about DW_BLOCK_BYTES so that it stays in L2 across the taps.
-    Padding is block-local: each block is zero-padded into a reused
-    scratch, and its cropped sum, plus the bias, is written straight into
-    the output (the backward likewise pads the block's input and output
-    gradient and crops its input gradient), so no padded copy of a whole
-    map is made.  A channel's sum never spans two blocks and every element
-    still adds the same taps in the same (u, v) order, so the blocking
-    changes no bit of the result.  The network downsamples with
-    pixel_unshuffle, never a stride.
+  - conv2d computes stride-1 "same" cross-correlation (no kernel flip): an
+    odd square kernel, zero padding k//2, output the size of the input, and
+    input, weight and bias of one dtype; these are the only calls the
+    network makes, and conv2d refuses any other.  It is either dense
+    (groups=1) or depthwise (groups = c_in = c_out).  One loop over the
+    kernel taps, _tap_sum, serves the forward and the input gradient: the
+    input gradient of a "same" correlation is the same correlation of the
+    output gradient with the kernel flipped in space and, dense, transposed
+    in/out.  Only the weight gradient has its own loop.  Depthwise taps
+    walk one channel block at a time, each block's output about
+    DW_BLOCK_BYTES so that it stays in L2 across the taps.  Padding is
+    block-local: each block is zero-padded into a reused scratch, and its
+    cropped sum, plus the bias, is written straight into the output, so no
+    padded copy of a whole map is made.  A channel's sum never spans two
+    blocks and every element still adds the same taps in the same (u, v)
+    order, so the blocking changes no bit of the result.  The network
+    downsamples with pixel_unshuffle, never a stride.
   - Ops keep the dtype of their tensor operands: a float32 graph computes
     and differentiates in float32, a float64 graph in float64.  A Python
     or numpy scalar passed to add, sub, mul or div adopts the dtype of the
@@ -323,11 +326,9 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = astensor(a)
     x = a.data
-    data = np.empty_like(x)
-    pos = x >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    # e = exp(-|x|) never overflows; 1/(1+e) for x >= 0, e/(1+e) below
+    e = np.exp(-np.abs(x))
+    data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         accumulate_grad(a, g * data * (1.0 - data))
@@ -404,20 +405,20 @@ def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _flat_padded(xd: np.ndarray, padding: int, kw: int):
-    """Zero-pad the spatial axes of NCHW ``xd`` and flatten them to one axis.
+def _flat_padded(xd: np.ndarray, k: int):
+    """Zero-pad the spatial axes of NCHW ``xd`` by k//2 and flatten them to one axis.
 
     Returns the (n, c, plane) array; with ``wp`` the padded width, kernel tap
-    (u, v) then reads the contiguous run ``[u*wp + v, u*wp + v + oh*wp)`` of
+    (u, v) then reads the contiguous run ``[u*wp + v, u*wp + v + h*wp)`` of
     every channel: output rows are computed at the padded width, and their
-    last kw-1 columns, which wrap into the next row, are cropped.  For kw > 1
+    last k-1 columns, which wrap into the next row, are cropped.  For k > 1
     one extra zero row at the bottom keeps the last tap's run in bounds.
     Only the dense path pads a whole map; depthwise pads one block at a time
     (:func:`_pad_block`).
     """
-    extra = int(kw > 1)
-    if padding or extra:
-        xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding + extra), (padding, padding)))
+    if k > 1:
+        p = k // 2
+        xd = np.pad(xd, ((0, 0), (0, 0), (p, p + 1), (p, p)))
     return xd.reshape(xd.shape[0], xd.shape[1], -1)
 
 
@@ -454,153 +455,130 @@ def _crop_bias(acc: np.ndarray, ow: int, bias, out: np.ndarray):
         np.add(acc[..., :ow], bias[:, None, None], out=out)
 
 
-def _conv_forward(xd, wd, bd, padding, depthwise):
-    """Sum over the kernel taps of the shifted padded input times that tap, plus bias.
+def _tap_sum(xd, taps, bias, depthwise):
+    """"Same" correlation of NCHW ``xd`` with ``taps`` (k, k, c_out, c_in/groups), plus bias.
 
-    Dense: one batched matmul per tap over the padded map; a 1x1 conv adds
-    its bias in place on the matmul output.  Depthwise: the taps walk one
-    channel block at a time (:func:`_depthwise_blocks`).  Each block is
-    zero-padded into a reused scratch, its taps are summed into a second
-    one, and the cropped sum plus bias is written straight into the output,
-    so the whole map is read once and written once.  Each output element
-    still receives tap (0, 0) first and then every later tap in the same
-    (u, v) order, one rounding per add, so the result does not depend on
-    the block size.
+    The sum over the taps of the shifted, k//2-padded input times that tap.
+    ``taps`` may be a strided view: the forward passes the weight's taps,
+    the input gradient the output gradient and the flipped taps (module
+    docstring).  Dense: one batched matmul per tap over the padded map; a
+    1x1 conv adds its bias in place on the matmul output.  Depthwise: the
+    taps walk one channel block at a time (:func:`_depthwise_blocks`).  Each
+    block is zero-padded into a reused scratch, its taps are summed into a
+    second one, and the cropped sum plus bias is written straight into the
+    output, so the whole map is read once and written once.  Each output
+    element still receives tap (0, 0) first and then every later tap in the
+    same (u, v) order, one rounding per add, so the result does not depend
+    on the block size.
     """
-    n, cin, h, w = xd.shape
-    cout, _, kh, kw = wd.shape
-    extra = int(kw > 1)
-    hp, wp = h + 2 * padding + extra, w + 2 * padding
-    oh, ow = h + 2 * padding - kh + 1, wp - kw + 1
-    run = oh * wp
-    taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # (kh, kw, cout, cin/groups)
-    dt = np.result_type(xd, taps)
-    out_dt = dt if bd is None else np.result_type(dt, bd)
+    n, _, h, w = xd.shape
+    k, _, cout, _ = taps.shape
+    p = k // 2
+    wp = w + 2 * p
+    run = h * wp
     if not depthwise:
-        xf = _flat_padded(xd, padding, kw)
+        xf = _flat_padded(xd, k)
         acc = taps[0, 0] @ xf[:, :, :run]
-        for u in range(kh):
-            for v in range(kw):
+        for u in range(k):
+            for v in range(k):
                 if u or v:
                     acc += taps[u, v] @ xf[:, :, u * wp + v:u * wp + v + run]
-        acc = acc.reshape(n, cout, oh, wp)
-        if ow == wp and out_dt == dt:
-            if bd is not None:
-                acc += bd[:, None, None]
+        acc = acc.reshape(n, cout, h, wp)
+        if k == 1:
+            if bias is not None:
+                acc += bias[:, None, None]
             return acc
-        out = np.empty((n, cout, oh, ow), out_dt)
-        _crop_bias(acc, ow, bd, out)
+        out = np.empty((n, cout, h, w), xd.dtype)
+        _crop_bias(acc, w, bias, out)
         return out
-    out = np.empty((n, cout, oh, ow), out_dt)
-    step, blocks = _depthwise_blocks(n, cout, run, dt)
-    xbuf = np.zeros((n, step, hp, wp), xd.dtype)
-    accbuf = np.empty((n, step, run), dt)
+    out = np.empty((n, cout, h, w), xd.dtype)
+    step, blocks = _depthwise_blocks(n, cout, run, xd.dtype)
+    xbuf = np.zeros((n, step, h + 2 * p + int(k > 1), wp), xd.dtype)
+    accbuf = np.empty((n, step, run), xd.dtype)
     tmpbuf = np.empty_like(accbuf)
     for blk in blocks:
         cb = blk.stop - blk.start
-        xf = _pad_block(xbuf, xd[:, blk], padding, padding)
+        xf = _pad_block(xbuf, xd[:, blk], p, p)
         acc, tmp = accbuf[:, :cb], tmpbuf[:, :cb]
-        for u in range(kh):
-            for v in range(kw):
+        for u in range(k):
+            for v in range(k):
                 win = xf[:, :, u * wp + v:u * wp + v + run]
                 if u == 0 and v == 0:
                     np.multiply(win, taps[0, 0, blk], out=acc)
                 else:
                     np.multiply(win, taps[u, v, blk], out=tmp)
                     acc += tmp
-        _crop_bias(acc.reshape(n, cb, oh, wp), ow, None if bd is None else bd[blk], out[:, blk])
+        _crop_bias(acc.reshape(n, cb, h, wp), w, None if bias is None else bias[blk], out[:, blk])
     return out
 
 
-def _conv_backward(xd, wd, g, padding, depthwise):
-    """Input and weight gradients, walking the same taps as the forward.
+def _weight_grad(xd, g, k, depthwise):
+    """Weight gradient of the "same" correlation, walking the forward's taps.
 
-    The output gradient is read at the padded width, with zeros in the
-    kw-1 wrapped columns so they add nothing.  Dense: per tap, one matmul
-    scatters into the padded input gradient and one batched matmul summed
-    over the batch gives the weight gradient.  Depthwise walks the same
-    channel blocks as the forward: the block's input and output gradient
-    are padded into reused scratches (:func:`_pad_block`), the block's
-    ``g * tap`` products are scattered into a block-sized input-gradient
-    scratch, which is cropped into the input gradient, and each tap's
-    weight gradient is reduced per block.  Every input-gradient element
-    still adds its taps in the same (u, v) order as an unblocked pass; the
-    weight-gradient einsum may sum a block's channels in a different order,
-    so it can differ from an unblocked pass by rounding.
+    The output gradient is read at the padded width, with zeros in the k-1
+    wrapped columns so they add nothing.  Dense: per tap, one batched
+    matmul summed over the batch.  Depthwise walks the forward's channel
+    blocks: the block's input and output gradient are padded into reused
+    scratches (:func:`_pad_block`) and each tap's gradient is one einsum per
+    block, which may sum a block's channels in a different order than an
+    unblocked pass, so it can differ from one by rounding.
     """
     n, cin, h, w = xd.shape
-    cout, _, kh, kw = wd.shape
-    extra = int(kw > 1)
-    hp, wp = h + 2 * padding + extra, w + 2 * padding
-    oh, ow = g.shape[2], g.shape[3]
-    run = oh * wp
-    taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
-    gtaps = np.empty_like(taps)
+    cout = g.shape[1]
+    p = k // 2
+    wp = w + 2 * p
+    run = h * wp
     if not depthwise:
-        xf = _flat_padded(xd, padding, kw)
-        if ow < wp:
-            g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - ow)))
+        xf = _flat_padded(xd, k)
+        if k > 1:
+            g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - w)))
         gf = g.reshape(n, cout, run)
-        gxf = np.zeros_like(xf)
-        for u in range(kh):
-            for v in range(kw):
-                tap = slice(u * wp + v, u * wp + v + run)
-                gxf[:, :, tap] += taps[u, v].T @ gf
-                gtaps[u, v] = (gf @ xf[:, :, tap].transpose(0, 2, 1)).sum(axis=0)
-        gx = gxf.reshape(n, cin, hp, wp)[:, :, padding:padding + h, padding:padding + w]
-        return gx, np.ascontiguousarray(gtaps.transpose(2, 3, 0, 1))
-    gx = np.empty_like(xd)
-    dt = np.result_type(g, taps)
-    step, blocks = _depthwise_blocks(n, cout, run, dt)
-    xbuf = np.zeros((n, step, hp, wp), xd.dtype)
-    gbuf = np.zeros((n, step, oh, wp), g.dtype)
-    gxbuf = np.empty((n, step, hp * wp), xd.dtype)
-    tmpbuf = np.empty((n, step, run), dt)
+        gtaps = np.empty((k, k, cout, cin), xd.dtype)
+        for u in range(k):
+            for v in range(k):
+                tap = xf[:, :, u * wp + v:u * wp + v + run]
+                gtaps[u, v] = (gf @ tap.transpose(0, 2, 1)).sum(axis=0)
+        return np.ascontiguousarray(gtaps.transpose(2, 3, 0, 1))
+    gtaps = np.empty((k, k, cout, 1), xd.dtype)
+    step, blocks = _depthwise_blocks(n, cout, run, xd.dtype)
+    xbuf = np.zeros((n, step, h + 2 * p + int(k > 1), wp), xd.dtype)
+    gbuf = np.zeros((n, step, h, wp), g.dtype)
     for blk in blocks:
-        cb = blk.stop - blk.start
-        xf = _pad_block(xbuf, xd[:, blk], padding, padding)
+        xf = _pad_block(xbuf, xd[:, blk], p, p)
         gb = _pad_block(gbuf, g[:, blk], 0, 0)
-        gxb, tmp = gxbuf[:, :cb], tmpbuf[:, :cb]
-        gxb[:, :, run:] = 0
-        for u in range(kh):
-            for v in range(kw):
-                tap = slice(u * wp + v, u * wp + v + run)
-                if u == 0 and v == 0:
-                    np.multiply(gb, taps[0, 0, blk], out=gxb[:, :, :run])
-                else:
-                    np.multiply(gb, taps[u, v, blk], out=tmp)
-                    gxb[:, :, tap] += tmp
-                gtaps[u, v, blk, 0] = np.einsum("ncl,ncl->c", gb, xf[:, :, tap])
-        gx[:, blk] = gxb.reshape(n, cb, hp, wp)[:, :, padding:padding + h, padding:padding + w]
-    return gx, np.ascontiguousarray(gtaps.transpose(2, 3, 0, 1))
+        for u in range(k):
+            for v in range(k):
+                gtaps[u, v, blk, 0] = np.einsum("ncl,ncl->c", gb, xf[:, :, u * wp + v:u * wp + v + run])
+    return np.ascontiguousarray(gtaps.transpose(2, 3, 0, 1))
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None, groups: int = 1) -> Tensor:
-    """Stride-1 2-d cross-correlation over NCHW input, dense or depthwise.
+    """Stride-1 "same" 2-d cross-correlation over NCHW input, dense or depthwise.
 
     Dense (groups=1): weight (c_out, c_in, k, k).  Depthwise (groups = c_in
-    = c_out): weight (c, 1, k, k), one kernel per channel.  padding=None
-    means k//2, "same" for odd kernels; output size is h + 2p - k + 1.
-    ``stride`` stays in the signature for callers that pass it positionally;
-    anything but 1 raises :class:`ConfigError`, as does any other group count.
-    The bias is added inside the kernel as the output is written; the
-    result is C-contiguous.
+    = c_out): weight (c, 1, k, k), one kernel per channel.  k is odd and the
+    padding k//2 (None means k//2), so the output has the input's size.
+    ``stride`` stays in the signature for callers that pass it positionally.
+    Any other stride, kernel, padding or group count raises
+    :class:`ConfigError`; input, weight and bias of different dtypes raise
+    :class:`ShapeError`.  The bias is added inside the kernel as the output
+    is written; the result is C-contiguous.
     """
     x, weight = astensor(x), astensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and weight, got {x.shape} and {weight.shape}")
-    n, cin, h, w = x.shape
+    cin = x.shape[1]
     cout, cpg, kh, kw = weight.shape
-    if padding is None:
-        padding = kh // 2
     if stride != 1:
         raise ConfigError(f"conv2d supports stride 1 only, got stride={stride}")
+    if kh != kw or kh % 2 == 0:
+        raise ConfigError(f"conv2d supports odd square kernels only, got {kh}x{kw}")
+    if padding not in (None, kh // 2):
+        raise ConfigError(f"conv2d supports 'same' padding only: {kh // 2} for a {kh}x{kw} kernel, got {padding}")
     if groups != 1 and not groups == cin == cout:
         raise ConfigError(f"groups={groups} is neither 1 nor depthwise for c_in={cin} / c_out={cout}")
     if cpg != cin // groups:
         raise ShapeError(f"weight expects {cpg * groups} input channels, input has {cin}")
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
 
     parents = [x, weight]
     if bias is not None:
@@ -608,14 +586,18 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None, gr
         if bias.shape != (cout,):
             raise ShapeError(f"bias shape {bias.shape} does not match c_out={cout}")
         parents.append(bias)
+    if len({t.data.dtype for t in parents}) > 1:
+        raise ShapeError(f"conv2d expects one dtype, got {', '.join(str(t.data.dtype) for t in parents)}")
     xd, wd = x.data, weight.data
     depthwise = groups > 1
-    data = _conv_forward(xd, wd, None if bias is None else bias.data, padding, depthwise)
+    data = _tap_sum(xd, np.ascontiguousarray(wd.transpose(2, 3, 0, 1)),
+                    None if bias is None else bias.data, depthwise)
 
     def backward(g):
-        gx, gw = _conv_backward(xd, wd, g, padding, depthwise)
-        accumulate_grad(x, gx)
-        accumulate_grad(weight, gw)
+        # dense taps transposed in/out, then both kinds flipped in space
+        flipped = wd.transpose(2, 3, 0, 1) if depthwise else wd.transpose(2, 3, 1, 0)
+        accumulate_grad(x, _tap_sum(g, flipped[::-1, ::-1], None, depthwise))
+        accumulate_grad(weight, _weight_grad(xd, g, kh, depthwise))
         if bias is not None:
             accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
 

@@ -149,6 +149,19 @@ def test_restore_checkpoint_without_tensor_list_exits_three(tmp_path, rng):
                 "--output", str(tmp_path / "o.ppm")]) == 3
 
 
+@pytest.mark.parametrize("field,value", [("gn_groups", 0), ("se_reduction", 0), ("heads", [1, 0, 2, 2])])
+def test_restore_checkpoint_with_a_zero_divisor_exits_two(tmp_path, capsys, rng, field, value):
+    save_model(RestorationModel(tiny_config()), tmp_path / "m")
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    manifest["config"][field] = value
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    write_ppm(tmp_path / "in.ppm", rng.uniform(0.2, 0.8, size=(16, 16, 3)))
+    assert run(["restore", "--checkpoint", str(tmp_path / "m"),
+                "--input", str(tmp_path / "in.ppm"),
+                "--output", str(tmp_path / "o.ppm")]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_restore_nan_checkpoint_exits_four(tmp_path, rng):
     model = RestorationModel(tiny_config())
     model.conv_out.bias.data[:] = np.nan

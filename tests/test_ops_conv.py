@@ -1,4 +1,4 @@
-"""Convolution against a six-loop direct oracle, plus geometry and errors."""
+"""Convolution against a direct oracle, plus geometry and errors."""
 
 import tracemalloc
 
@@ -20,25 +20,22 @@ MODEL_KINDS = {
 
 
 def naive_conv2d(x, w, b=None, padding=0, groups=1):
-    """Direct cross-correlation, plain loops. Slow and obviously correct."""
+    """Direct cross-correlation: each output position sums its window times the kernel.
+
+    One einsum per output position (all images, groups and output channels
+    at once); slow, and obviously correct.
+    """
     n, cin, h, wd_ = x.shape
     cout, cpg, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     oh = h + 2 * padding - kh + 1
     ow = wd_ + 2 * padding - kw + 1
-    og = cout // groups
+    wg = w.reshape(groups, cout // groups, cpg, kh, kw)
     out = np.zeros((n, cout, oh, ow), dtype=x.dtype)
-    for ni in range(n):
-        for oc in range(cout):
-            g = oc // og
-            for oy in range(oh):
-                for ox in range(ow):
-                    acc = 0.0
-                    for ic in range(cpg):
-                        for u in range(kh):
-                            for v in range(kw):
-                                acc += xp[ni, g * cpg + ic, oy + u, ox + v] * w[oc, ic, u, v]
-                    out[ni, oc, oy, ox] = acc
+    for oy in range(oh):
+        for ox in range(ow):
+            win = xp[:, :, oy:oy + kh, ox:ox + kw].reshape(n, groups, cpg, kh, kw)
+            out[:, :, oy, ox] = np.einsum("ngcuv,gocuv->ngo", win, wg).reshape(n, cout)
     if b is not None:
         out += b[None, :, None, None]
     return out
@@ -92,7 +89,6 @@ def test_output_geometry():
     x = Tensor(np.zeros((1, 1, 8, 11)))
     w = Tensor(np.zeros((2, 1, 3, 3)))
     assert ops.conv2d(x, w, padding=1).shape == (1, 2, 8, 11)
-    assert ops.conv2d(x, w, padding=0).shape == (1, 2, 6, 9)
     # default padding is k//2
     assert ops.conv2d(x, Tensor(np.zeros((2, 1, 5, 5)))).shape == (1, 2, 8, 11)
 
@@ -124,11 +120,35 @@ def test_bad_groups_raise(rng):
         ops.conv2d(x4, Tensor(rng.normal(size=(2, 4, 3, 3))), stride=2)
 
 
-def test_kernel_larger_than_padded_input_raises(rng):
-    x = Tensor(rng.normal(size=(1, 1, 2, 2)))
-    w = Tensor(rng.normal(size=(1, 1, 5, 5)))
-    with pytest.raises(ShapeError):
-        ops.conv2d(x, w, padding=0)
+# Calls outside the network's "same", odd-kernel, one-dtype convs:
+# (weight shape, padding, weight dtype, error); the input is float32.
+REFUSED = {
+    "pad0-k3": ((2, 2, 3, 3), 0, np.float32, ConfigError),
+    "pad1-k5": ((2, 2, 5, 5), 1, np.float32, ConfigError),
+    "k2x2": ((2, 2, 2, 2), None, np.float32, ConfigError),
+    "k3x5": ((2, 2, 3, 5), None, np.float32, ConfigError),
+    "f64-weight": ((2, 2, 3, 3), None, np.float64, ShapeError),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_calls_outside_the_network_kinds_raise(rng, case):
+    wshape, padding, wdtype, error = REFUSED[case]
+    x = Tensor(rng.normal(size=(1, 2, 6, 6)).astype(np.float32))
+    with pytest.raises(error):
+        ops.conv2d(x, Tensor(rng.normal(size=wshape).astype(wdtype)), padding=padding)
+
+
+def test_1x1_input_gradient_is_the_transposed_weight_matmul(rng):
+    # the flipped taps of a 1x1 are a transposed view of the weight, read
+    # by the same matmul as a direct w.T @ g
+    x = rng.normal(size=(2, 6, 5, 4)).astype(np.float32)
+    w = rng.normal(size=(3, 6, 1, 1)).astype(np.float32)
+    g = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
+    xt = Tensor(x, requires_grad=True)
+    ops.conv2d(xt, Tensor(w)).backward(g)
+    want = w[:, :, 0, 0].T @ g.reshape(2, 3, -1)
+    assert np.array_equal(xt.grad, want.reshape(x.shape))
 
 
 @pytest.mark.parametrize("kind", list(MODEL_KINDS))
@@ -210,8 +230,11 @@ def test_blocked_depthwise_with_bias_equals_plain_tap_loop_plus_bias(rng, shape,
 
 
 # Dense shapes wider than MODEL_KINDS, at batch 1 and 8: (x shape, c_out, k).
+# The last two are 3x3 calls the model makes at 32 px: full-preset fusion
+# spatial_mid and tiny-preset conv_out.
 DENSE_SHAPES = [((1, 48, 16, 16), 96, 1), ((8, 16, 12, 12), 32, 1),
-                ((1, 48, 8, 8), 96, 3), ((8, 16, 8, 8), 32, 3)]
+                ((1, 48, 8, 8), 96, 3), ((8, 16, 8, 8), 32, 3),
+                ((1, 48, 32, 32), 12, 3), ((8, 8, 32, 32), 3, 3)]
 
 
 @pytest.mark.parametrize("shape,cout,k", DENSE_SHAPES,

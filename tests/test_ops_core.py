@@ -54,6 +54,25 @@ def test_sigmoid_stable_at_extremes():
     assert s[1] == 1.0
 
 
+def masked_sigmoid(x):
+    """The two-branch sigmoid written with boolean masks: the bit-exact reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_sigmoid_equals_masked_two_branch_form(rng, dtype):
+    edges = [0.0, -0.0, 1e-8, -1e-8, 1.0, -1.0, 88.7, -88.7, 104.0, -104.0, np.inf, -np.inf]
+    x = np.concatenate([edges, rng.normal(scale=20.0, size=4096)]).astype(dtype)
+    got = ops.sigmoid(Tensor(x)).data
+    assert got.dtype == dtype
+    assert np.array_equal(got, masked_sigmoid(x))
+
+
 @pytest.mark.parametrize("op", [
     lambda x: ops.add(x, 1e-5),
     lambda x: ops.mul(0.5, x),
