@@ -373,6 +373,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = _parse(parser, argv)
+        # numpy's generators take no negative seed; refuse it before any work
+        if getattr(ns, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be non-negative, got {ns.seed}")
         return _COMMANDS[ns.command](ns)
     except (ConfigError, UsageError, ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)

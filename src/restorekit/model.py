@@ -75,6 +75,12 @@ class ModelConfig:
             raise ConfigError("gn_groups must divide base_channels")
         if self.ffn_expansion <= 0 or self.global_dim < 1:
             raise ConfigError("ffn_expansion and global_dim must be positive")
+        # the feed-forward's depthwise conv has 2 * hidden groups
+        if int(self.base_channels * self.ffn_expansion) < 1:
+            raise ConfigError(f"ffn_expansion={self.ffn_expansion} gives no hidden channels "
+                              f"at width {self.base_channels}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def full_config(seed: int = 0) -> ModelConfig:

@@ -15,15 +15,17 @@ Conventions:
     kernel taps, _tap_sum, serves the forward and the input gradient: the
     input gradient of a "same" correlation is the same correlation of the
     output gradient with the kernel flipped in space and, dense, transposed
-    in/out.  Only the weight gradient has its own loop.  Depthwise taps
-    walk one channel block at a time, each block's output about
-    DW_BLOCK_BYTES so that it stays in L2 across the taps.  Padding is
-    block-local: each block is zero-padded into a reused scratch, and its
+    in/out.  Only the weight gradient has its own loop.  Depthwise convs
+    walk one channel block at a time, each block's scratch about
+    DW_BLOCK_BYTES so that it stays in L2.  Padding is block-local: each
+    block is zero-padded into a reused scratch, its k*k shifted runs are
+    copied into a column matrix (im2col), one matmul sums the taps, and the
     cropped sum, plus the bias, is written straight into the output, so no
-    padded copy of a whole map is made.  A channel's sum never spans two
-    blocks and every element still adds the same taps in the same (u, v)
-    order, so the blocking changes no bit of the result.  The network
-    downsamples with pixel_unshuffle, never a stride.
+    padded copy of a whole map is made.  The taps are summed in BLAS order,
+    not tap by tap, but each channel's sum is the same call whatever block
+    it falls in, so the result does not depend on the block size and
+    reruns are bit-identical.  The network downsamples with
+    pixel_unshuffle, never a stride.
   - Ops keep the dtype of their tensor operands: a float32 graph computes
     and differentiates in float32, a float64 graph in float64.  A Python
     or numpy scalar passed to add, sub, mul or div adopts the dtype of the
@@ -49,11 +51,12 @@ from .tensor import Tensor, accumulate_grad, astensor, make_node
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# Output bytes of one depthwise channel block: the block's output and its
-# tap product then stay in a 1-2 MB L2 across all taps.  At the network's
-# shapes 64 KB and 1 MB blocks were slower than 256 KB, and 128 KB and
-# 512 KB about level with it.
-DW_BLOCK_BYTES = 256 * 1024
+# Scratch bytes of one depthwise channel block: the tap sum's column matrix,
+# or the weight gradient's padded input plus padded output gradient.  Over
+# the network's call lists (float32, one BLAS thread) 1 MB was fastest for
+# both.  The tap sum took 35-43 % longer at 256 KB, 5-25 % at 512 KB and
+# 3-17 % at 2 MB.
+DW_BLOCK_BYTES = 1024 * 1024
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -422,14 +425,15 @@ def _flat_padded(xd: np.ndarray, k: int):
     return xd.reshape(xd.shape[0], xd.shape[1], -1)
 
 
-def _depthwise_blocks(n: int, c: int, run: int, dtype):
-    """Channel slices covering c channels of n x run maps, and the widest one's width.
+def _depthwise_blocks(c: int, channel_bytes: int):
+    """Channel slices covering c channels, and the widest one's width.
 
-    Each block holds as many channels (at least one) as keep its n*c*run
-    elements near DW_BLOCK_BYTES, so the block's scratch buffers, allocated
-    once at the widest block's width, stay in L2 across all taps.
+    ``channel_bytes`` is the scratch one channel of a block holds.  Each
+    block takes as many channels (at least one) as keep its scratch near
+    DW_BLOCK_BYTES, so the scratch, allocated once at the widest block's
+    width, stays in L2 while the block is worked on.
     """
-    step = min(c, max(1, DW_BLOCK_BYTES // (n * run * np.dtype(dtype).itemsize)))
+    step = min(c, max(1, DW_BLOCK_BYTES // channel_bytes))
     return step, [slice(c0, min(c0 + step, c)) for c0 in range(0, c, step)]
 
 
@@ -462,14 +466,16 @@ def _tap_sum(xd, taps, bias, depthwise):
     ``taps`` may be a strided view: the forward passes the weight's taps,
     the input gradient the output gradient and the flipped taps (module
     docstring).  Dense: one batched matmul per tap over the padded map; a
-    1x1 conv adds its bias in place on the matmul output.  Depthwise: the
-    taps walk one channel block at a time (:func:`_depthwise_blocks`).  Each
-    block is zero-padded into a reused scratch, its taps are summed into a
-    second one, and the cropped sum plus bias is written straight into the
-    output, so the whole map is read once and written once.  Each output
-    element still receives tap (0, 0) first and then every later tap in the
-    same (u, v) order, one rounding per add, so the result does not depend
-    on the block size.
+    1x1 conv adds its bias in place on the matmul output.  Depthwise: one
+    channel block at a time (:func:`_depthwise_blocks`, sized by its column
+    matrix), the block is zero-padded into a reused scratch and its k*k
+    shifted runs are copied into a reused (n, cb, k*k, run) column matrix;
+    one matmul of each channel's (1, k*k) taps with it sums the taps, and
+    the cropped sum plus bias is written straight into the output.  Over
+    the network's depthwise calls this took 0.55 of the per-tap multiply
+    and add loop's time at 32 px and 0.7 at 64 px.  The sum runs in BLAS
+    order, one matrix-vector product per image and channel whatever the
+    block, so the result does not depend on the block size.
     """
     n, _, h, w = xd.shape
     k, _, cout, _ = taps.shape
@@ -492,22 +498,20 @@ def _tap_sum(xd, taps, bias, depthwise):
         _crop_bias(acc, w, bias, out)
         return out
     out = np.empty((n, cout, h, w), xd.dtype)
-    step, blocks = _depthwise_blocks(n, cout, run, xd.dtype)
+    step, blocks = _depthwise_blocks(cout, n * k * k * run * xd.dtype.itemsize)
+    # row u*k + v of a channel's (k*k, run) column matrix is tap (u, v)'s run
+    tk = np.ascontiguousarray(taps[:, :, :, 0].reshape(k * k, cout).T)[:, None, :]
     xbuf = np.zeros((n, step, h + 2 * p + int(k > 1), wp), xd.dtype)
-    accbuf = np.empty((n, step, run), xd.dtype)
-    tmpbuf = np.empty_like(accbuf)
+    colbuf = np.empty((n, step, k * k, run), xd.dtype)
+    accbuf = np.empty((n, step, 1, run), xd.dtype)
     for blk in blocks:
         cb = blk.stop - blk.start
         xf = _pad_block(xbuf, xd[:, blk], p, p)
-        acc, tmp = accbuf[:, :cb], tmpbuf[:, :cb]
+        cols, acc = colbuf[:, :cb], accbuf[:, :cb]
         for u in range(k):
             for v in range(k):
-                win = xf[:, :, u * wp + v:u * wp + v + run]
-                if u == 0 and v == 0:
-                    np.multiply(win, taps[0, 0, blk], out=acc)
-                else:
-                    np.multiply(win, taps[u, v, blk], out=tmp)
-                    acc += tmp
+                cols[:, :, u * k + v] = xf[:, :, u * wp + v:u * wp + v + run]
+        np.matmul(tk[blk], cols, out=acc)
         _crop_bias(acc.reshape(n, cb, h, wp), w, None if bias is None else bias[blk], out[:, blk])
     return out
 
@@ -517,11 +521,11 @@ def _weight_grad(xd, g, k, depthwise):
 
     The output gradient is read at the padded width, with zeros in the k-1
     wrapped columns so they add nothing.  Dense: per tap, one batched
-    matmul summed over the batch.  Depthwise walks the forward's channel
-    blocks: the block's input and output gradient are padded into reused
-    scratches (:func:`_pad_block`) and each tap's gradient is one einsum per
-    block, which may sum a block's channels in a different order than an
-    unblocked pass, so it can differ from one by rounding.
+    matmul summed over the batch.  Depthwise walks channel blocks sized by
+    its two scratches: the block's input and output gradient are padded
+    into them (:func:`_pad_block`) and each tap's gradient is one einsum per
+    block.  (An im2col form, the column matrix times the gradient summed
+    over the batch, ran about 0.7x as fast over the tiny preset's calls.)
     """
     n, cin, h, w = xd.shape
     cout = g.shape[1]
@@ -540,8 +544,9 @@ def _weight_grad(xd, g, k, depthwise):
                 gtaps[u, v] = (gf @ tap.transpose(0, 2, 1)).sum(axis=0)
         return np.ascontiguousarray(gtaps.transpose(2, 3, 0, 1))
     gtaps = np.empty((k, k, cout, 1), xd.dtype)
-    step, blocks = _depthwise_blocks(n, cout, run, xd.dtype)
-    xbuf = np.zeros((n, step, h + 2 * p + int(k > 1), wp), xd.dtype)
+    rows = h + 2 * p + int(k > 1)
+    step, blocks = _depthwise_blocks(cout, n * (rows * wp + run) * xd.dtype.itemsize)
+    xbuf = np.zeros((n, step, rows, wp), xd.dtype)
     gbuf = np.zeros((n, step, h, wp), g.dtype)
     for blk in blocks:
         xf = _pad_block(xbuf, xd[:, blk], p, p)

@@ -149,7 +149,10 @@ def test_restore_checkpoint_without_tensor_list_exits_three(tmp_path, rng):
                 "--output", str(tmp_path / "o.ppm")]) == 3
 
 
-@pytest.mark.parametrize("field,value", [("gn_groups", 0), ("se_reduction", 0), ("heads", [1, 0, 2, 2])])
+# ffn_expansion 0.01 gives the feed-forward 0 hidden channels, so its
+# depthwise conv 0 groups; a negative seed is refused by numpy's generators
+@pytest.mark.parametrize("field,value", [("gn_groups", 0), ("se_reduction", 0), ("heads", [1, 0, 2, 2]),
+                                         ("ffn_expansion", 0.01), ("seed", -1)])
 def test_restore_checkpoint_with_a_zero_divisor_exits_two(tmp_path, capsys, rng, field, value):
     save_model(RestorationModel(tiny_config()), tmp_path / "m")
     manifest = json.loads((tmp_path / "m.json").read_text())
@@ -160,6 +163,17 @@ def test_restore_checkpoint_with_a_zero_divisor_exits_two(tmp_path, capsys, rng,
                 "--input", str(tmp_path / "in.ppm"),
                 "--output", str(tmp_path / "o.ppm")]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["train", "--out", "o", "--steps", "1"],
+                                  ["make-data", "--out", "o", "--count", "1"],
+                                  ["grad-check", "--only", "primitives"]],
+                         ids=lambda argv: argv[0])
+def test_negative_seed_exits_two(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a == "o" else a for a in argv]
+    assert run(argv + ["--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_restore_nan_checkpoint_exits_four(tmp_path, rng):
