@@ -160,6 +160,9 @@ def check_primitives(seed: int = 0) -> dict[str, float]:
     run("pixel_shuffle", lambda v: ops.tsum(ops.square(ops.pixel_shuffle(v, 2))), _t(rng, (1, 8, 2, 2)))
     run("concat", lambda v: ops.tsum(ops.square(ops.concat([v, v], axis=1))), _t(rng, (2, 3, 2, 2)))
     run("chunk", lambda v: ops.tsum(ops.square(ops.chunk(v, 3, axis=1)[1])), _t(rng, (2, 6, 2, 2)))
+    # every part feeds the loss; neg makes the split map a tape node, whose
+    # parts share one gradient map (a leaf's parts do not)
+    run("chunk.all", lambda v, p=_projector(rng): p(*ops.chunk(ops.neg(v), 3, axis=1)), _t(rng, (2, 6, 2, 2)))
     dv = Tensor(rng.normal(size=(3, 5)) + 3.0, requires_grad=True)
     dn = Tensor(rng.normal(size=(3, 5)))
     run("div.denominator", lambda v: ops.tsum(ops.square(ops.div(dn, v))), dv)

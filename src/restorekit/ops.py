@@ -3,8 +3,9 @@
 Free functions over :class:`~restorekit.tensor.Tensor`; each builds one (or
 a few) tape nodes.  Convolution, softmax, the normalizations (standardize,
 l2_normalize), mean_std, FFT and pixel shuffles are single nodes with
-hand-written backwards; gap and chunk reuse the primitives and inherit
-their gradients.
+hand-written backwards.  gap reuses tmean and inherits its gradient; chunk
+builds its parts with narrow, and they write their gradients into one
+shared map of the parent.
 
 Conventions:
   - conv2d computes stride-1 "same" cross-correlation (no kernel flip): an
@@ -15,9 +16,12 @@ Conventions:
     kernel taps, _tap_sum, serves the forward and the input gradient: the
     input gradient of a "same" correlation is the same correlation of the
     output gradient with the kernel flipped in space and, dense, transposed
-    in/out.  Only the weight gradient has its own loop.  Depthwise convs
-    walk one channel block at a time, each block's scratch about
-    DW_BLOCK_BYTES so that it stays in L2.  Padding is block-local: each
+    in/out.  The dense weight gradient has its own loop, _weight_grad.  The
+    depthwise backward is one block loop, _depthwise_backward: it builds
+    the output gradient's column matrix once, for _tap_sum's input-gradient
+    matmul and for the weight gradient.  Depthwise convs walk one channel
+    block at a time, each block's scratch about DW_BLOCK_BYTES so that it
+    stays in L2.  Padding is block-local: each
     block is zero-padded into a reused scratch, its k*k shifted runs are
     copied into a column matrix (im2col), one matmul sums the taps, and the
     cropped sum, plus the bias, is written straight into the output, so no
@@ -52,10 +56,11 @@ from .tensor import Tensor, accumulate_grad, astensor, make_node
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Scratch bytes of one depthwise channel block: the tap sum's column matrix,
-# or the weight gradient's padded input plus padded output gradient.  Over
-# the network's call lists (float32, one BLAS thread) 1 MB was fastest for
-# both.  The tap sum took 35-43 % longer at 256 KB, 5-25 % at 512 KB and
-# 3-17 % at 2 MB.
+# or the backward's padded output gradient, column matrix, matmul output and
+# input at the padded width.  Over the network's call lists (float32, one
+# BLAS thread) 1 MB was fastest for both.  The tap sum took 35-43 % longer
+# at 256 KB, 5-25 % at 512 KB and 3-17 % at 2 MB; the backward 33-36 %,
+# 4-15 % and 2-10 %.
 DW_BLOCK_BYTES = 1024 * 1024
 
 
@@ -244,29 +249,51 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return make_node(data, tuple(tensors), backward, "concat")
 
 
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` entries along ``axis``."""
+def narrow(a, axis: int, start: int, length: int, shared: list | None = None) -> Tensor:
+    """Contiguous slice of ``length`` entries along ``axis``.
+
+    The backward writes the slice's gradient into a zero map of ``a``.
+    ``shared`` is how the parts of one :func:`chunk` call share that map: a
+    one-item list, holding None until the first part's backward allocates
+    the map and hands it to ``a.grad``.  A later part writes its slice
+    straight into the map while ``a.grad`` is still that very array.  Every
+    part's backward runs before ``a``'s, and nothing reads ``a.grad`` until
+    then, so the map is not yet seen by anyone.  Once another consumer has
+    added into ``a.grad``, it is a new array, and the part allocates a zero
+    map of its own as a plain narrow does.
+    """
     a = astensor(a)
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
 
     def backward(g):
+        if shared is not None and shared[0] is not None and a.grad is shared[0]:
+            shared[0][idx] = g
+            return
         gx = np.zeros_like(a.data)
         gx[idx] = g
+        if shared is not None and shared[0] is None:
+            shared[0] = gx
         accumulate_grad(a, gx)
 
     return make_node(a.data[idx], (a,), backward, "narrow")
 
 
 def chunk(a, parts: int, axis: int = 1):
-    """Split evenly into ``parts`` tensors along ``axis``."""
+    """Split evenly into ``parts`` tensors along ``axis``.
+
+    The parts share one zero-filled gradient map of ``a`` (see :func:`narrow`)
+    unless ``a`` is a leaf: a leaf has no backward of its own to end the
+    sharing, and its ``grad`` outlives the pass.
+    """
     a = astensor(a)
     n = a.shape[axis]
     if n % parts:
         raise ShapeError(f"cannot split axis of size {n} into {parts} equal chunks")
     step = n // parts
-    return [narrow(a, axis, i * step, step) for i in range(parts)]
+    shared = None if a.op == "leaf" else [None]
+    return [narrow(a, axis, i * step, step, shared) for i in range(parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -499,61 +526,99 @@ def _tap_sum(xd, taps, bias, depthwise):
         return out
     out = np.empty((n, cout, h, w), xd.dtype)
     step, blocks = _depthwise_blocks(cout, n * k * k * run * xd.dtype.itemsize)
-    # row u*k + v of a channel's (k*k, run) column matrix is tap (u, v)'s run
-    tk = np.ascontiguousarray(taps[:, :, :, 0].reshape(k * k, cout).T)[:, None, :]
+    tk = _depthwise_rows(taps)
     xbuf = np.zeros((n, step, h + 2 * p + int(k > 1), wp), xd.dtype)
     colbuf = np.empty((n, step, k * k, run), xd.dtype)
     accbuf = np.empty((n, step, 1, run), xd.dtype)
     for blk in blocks:
         cb = blk.stop - blk.start
-        xf = _pad_block(xbuf, xd[:, blk], p, p)
         cols, acc = colbuf[:, :cb], accbuf[:, :cb]
-        for u in range(k):
-            for v in range(k):
-                cols[:, :, u * k + v] = xf[:, :, u * wp + v:u * wp + v + run]
+        _im2col(cols, _pad_block(xbuf, xd[:, blk], p, p), k, wp, run)
         np.matmul(tk[blk], cols, out=acc)
         _crop_bias(acc.reshape(n, cb, h, wp), w, None if bias is None else bias[blk], out[:, blk])
     return out
 
 
-def _weight_grad(xd, g, k, depthwise):
-    """Weight gradient of the "same" correlation, walking the forward's taps.
+def _depthwise_rows(taps):
+    """Depthwise ``taps`` (k, k, c, 1) as (c, 1, k*k) rows, one per channel.
 
-    The output gradient is read at the padded width, with zeros in the k-1
-    wrapped columns so they add nothing.  Dense: per tap, one batched
-    matmul summed over the batch.  Depthwise walks channel blocks sized by
-    its two scratches: the block's input and output gradient are padded
-    into them (:func:`_pad_block`) and each tap's gradient is one einsum per
-    block.  (An im2col form, the column matrix times the gradient summed
-    over the batch, ran about 0.7x as fast over the tiny preset's calls.)
+    Row u*k + v of a channel's (k*k, run) column matrix is tap (u, v)'s run,
+    so one matmul of the rows with the column matrix sums the taps.
     """
-    n, cin, h, w = xd.shape
-    cout = g.shape[1]
+    k, _, c, _ = taps.shape
+    return np.ascontiguousarray(taps[:, :, :, 0].reshape(k * k, c).T)[:, None, :]
+
+
+def _im2col(cols, xf, k: int, wp: int, run: int):
+    """Copy the k*k shifted runs of the padded, flattened block ``xf`` into ``cols``' rows."""
+    for u in range(k):
+        for v in range(k):
+            cols[:, :, u * k + v] = xf[:, :, u * wp + v:u * wp + v + run]
+
+
+def _depthwise_backward(xd, g, wd):
+    """Input and weight gradient of a depthwise "same" correlation, one block loop.
+
+    Each channel block is sized by all the scratch the loop holds per
+    channel.  The block's output gradient is padded once and its k*k
+    shifted runs are copied into a column matrix, as in :func:`_tap_sum`.
+    The input gradient is the flipped taps times that matrix, the same
+    matmul as ``_tap_sum(g, flipped, None, True)``, so it is bit-identical
+    to it.  The block's input is copied at the padded width into a
+    zero-bordered scratch, so its k-1 wrapped columns are 0.  The column
+    matrix times that run, summed over the batch, is the weight gradient
+    with its taps reversed: row u*k + v pairs g shifted by (u - p, v - p)
+    with x, which is tap (k-1-u, k-1-v).  Its sum runs in BLAS order, one
+    matrix-vector product per image and channel whatever the block.
+    """
+    n, c, h, w = xd.shape
+    k = wd.shape[-1]
     p = k // 2
     wp = w + 2 * p
     run = h * wp
-    if not depthwise:
-        xf = _flat_padded(xd, k)
-        if k > 1:
-            g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - w)))
-        gf = g.reshape(n, cout, run)
-        gtaps = np.empty((k, k, cout, cin), xd.dtype)
-        for u in range(k):
-            for v in range(k):
-                tap = xf[:, :, u * wp + v:u * wp + v + run]
-                gtaps[u, v] = (gf @ tap.transpose(0, 2, 1)).sum(axis=0)
-        return np.ascontiguousarray(gtaps.transpose(2, 3, 0, 1))
-    gtaps = np.empty((k, k, cout, 1), xd.dtype)
     rows = h + 2 * p + int(k > 1)
-    step, blocks = _depthwise_blocks(cout, n * (rows * wp + run) * xd.dtype.itemsize)
-    xbuf = np.zeros((n, step, rows, wp), xd.dtype)
-    gbuf = np.zeros((n, step, h, wp), g.dtype)
+    dt = xd.dtype
+    # padded gradient, column matrix, matmul output and input at padded width
+    step, blocks = _depthwise_blocks(c, n * (rows * wp + (k * k + 2) * run) * dt.itemsize)
+    tk = _depthwise_rows(wd.transpose(2, 3, 0, 1)[::-1, ::-1])
+    gx = np.empty((n, c, h, w), dt)
+    gw = np.empty((c, k * k), dt)
+    gbuf = np.zeros((n, step, rows, wp), dt)
+    xbuf = np.zeros((n, step, h, wp), dt)
+    colbuf = np.empty((n, step, k * k, run), dt)
+    accbuf = np.empty((n, step, 1, run), dt)
     for blk in blocks:
-        xf = _pad_block(xbuf, xd[:, blk], p, p)
-        gb = _pad_block(gbuf, g[:, blk], 0, 0)
-        for u in range(k):
-            for v in range(k):
-                gtaps[u, v, blk, 0] = np.einsum("ncl,ncl->c", gb, xf[:, :, u * wp + v:u * wp + v + run])
+        cb = blk.stop - blk.start
+        cols, acc = colbuf[:, :cb], accbuf[:, :cb]
+        _im2col(cols, _pad_block(gbuf, g[:, blk], p, p), k, wp, run)
+        np.matmul(tk[blk], cols, out=acc)
+        _crop_bias(acc.reshape(n, cb, h, wp), w, None, gx[:, blk])
+        xw = _pad_block(xbuf, xd[:, blk], 0, 0)
+        gw[blk] = np.matmul(cols, xw[..., None]).sum(axis=0)[..., 0]
+    return gx, np.ascontiguousarray(gw[:, ::-1]).reshape(c, 1, k, k)
+
+
+def _weight_grad(xd, g, k):
+    """Weight gradient of a dense "same" correlation, walking the forward's taps.
+
+    The output gradient is read at the padded width, with zeros in the k-1
+    wrapped columns so they add nothing; per tap, one batched matmul summed
+    over the batch.  The depthwise weight gradient comes from
+    :func:`_depthwise_backward`.
+    """
+    n, cin, h, w = xd.shape
+    cout = g.shape[1]
+    wp = w + 2 * (k // 2)
+    run = h * wp
+    xf = _flat_padded(xd, k)
+    if k > 1:
+        g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - w)))
+    gf = g.reshape(n, cout, run)
+    gtaps = np.empty((k, k, cout, cin), xd.dtype)
+    for u in range(k):
+        for v in range(k):
+            tap = xf[:, :, u * wp + v:u * wp + v + run]
+            gtaps[u, v] = (gf @ tap.transpose(0, 2, 1)).sum(axis=0)
     return np.ascontiguousarray(gtaps.transpose(2, 3, 0, 1))
 
 
@@ -599,10 +664,14 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None, gr
                     None if bias is None else bias.data, depthwise)
 
     def backward(g):
-        # dense taps transposed in/out, then both kinds flipped in space
-        flipped = wd.transpose(2, 3, 0, 1) if depthwise else wd.transpose(2, 3, 1, 0)
-        accumulate_grad(x, _tap_sum(g, flipped[::-1, ::-1], None, depthwise))
-        accumulate_grad(weight, _weight_grad(xd, g, kh, depthwise))
+        if depthwise:
+            gx, gw = _depthwise_backward(xd, g, wd)
+        else:
+            # the taps transposed in/out and flipped in space
+            gx = _tap_sum(g, wd.transpose(2, 3, 1, 0)[::-1, ::-1], None, False)
+            gw = _weight_grad(xd, g, kh)
+        accumulate_grad(x, gx)
+        accumulate_grad(weight, gw)
         if bias is not None:
             accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
 

@@ -211,24 +211,25 @@ def test_blocked_depthwise_equals_plain_tap_loop(rng, shape, k, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_blocked_depthwise_does_not_depend_on_block_size(rng, monkeypatch, shape, k, dtype):
     # one channel per block, the default blocks and one block give the same
-    # output and input gradient, bit for bit, and so do two calls
+    # output, input gradient and weight gradient, bit for bit, and so do two
+    # calls
     c = shape[1]
     x, g = rng.normal(size=shape).astype(dtype), rng.normal(size=shape).astype(dtype)
     w = rng.normal(size=(c, 1, k, k)).astype(dtype)
     b = rng.normal(size=c).astype(dtype)
 
     def run():
-        xt = Tensor(x, requires_grad=True)
-        y = ops.conv2d(xt, Tensor(w), Tensor(b), groups=c)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        y = ops.conv2d(xt, wt, Tensor(b), groups=c)
         y.backward(g)
-        return y.data, xt.grad
+        return y.data, xt.grad, wt.grad
 
     want = run()
     for budget in (ops.DW_BLOCK_BYTES, 1, 1 << 30):
         monkeypatch.setattr(ops, "DW_BLOCK_BYTES", budget)
         got = run()
-        assert np.array_equal(got[0], want[0]), budget
-        assert np.array_equal(got[1], want[1]), budget
+        for part in range(3):
+            assert np.array_equal(got[part], want[part]), (budget, part)
 
 
 @pytest.mark.parametrize("shape,k", [(s, 3) for s in BLOCKED_SHAPES] + [(BLOCKED_SHAPES[0], 5)],
@@ -260,6 +261,56 @@ def test_blocked_depthwise_with_bias_equals_plain_tap_loop_plus_bias(rng, shape,
     got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), groups=shape[1]).data
     assert got.dtype == dtype and got.flags["C_CONTIGUOUS"]
     assert_close_to_tap_loop(got, plain_tap_loop(x, w, k // 2) + b[:, None, None], dtype)
+
+
+def per_tap_weight_grad(x, g, k):
+    """Depthwise weight gradient, one einsum per tap over the padded input.
+
+    Tap (u, v) of channel c is the sum over images and pixels of the output
+    gradient times the input shifted by (u - k//2, v - k//2).
+    """
+    p = k // 2
+    h, w = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    out = np.empty((x.shape[1], 1, k, k), x.dtype)
+    for u in range(k):
+        for v in range(k):
+            out[:, 0, u, v] = np.einsum("nchw,nchw->c", g, xp[:, :, u:u + h, v:v + w])
+    return out
+
+
+# Depthwise backward calls: the model's at 32 px (tiny preset at batch 8,
+# full preset at batch 1), its 7x7 at 64 px, and an odd-sized map.
+DW_BACKWARD_CASES = [((8, 42, 32, 32), 3), ((8, 24, 32, 32), 3), ((8, 24, 32, 32), 7),
+                     ((1, 254, 32, 32), 3), ((1, 510, 8, 8), 3), ((1, 48, 64, 64), 7),
+                     ((2, 5, 7, 9), 5)]
+
+
+@pytest.mark.parametrize("shape,k", DW_BACKWARD_CASES,
+                         ids=[f"{shape_id(s)}-k{k}" for s, k in DW_BACKWARD_CASES])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_depthwise_backward_input_gradient_is_the_flipped_tap_sum(rng, shape, k, dtype):
+    # the fused loop runs _tap_sum's matmul on the same column matrix
+    c = shape[1]
+    x, g = rng.normal(size=shape).astype(dtype), rng.normal(size=shape).astype(dtype)
+    w = rng.normal(size=(c, 1, k, k)).astype(dtype)
+    gx, _ = ops._depthwise_backward(x, g, w)
+    flipped = w.transpose(2, 3, 0, 1)[::-1, ::-1]
+    assert np.array_equal(gx, ops._tap_sum(g, flipped, None, True))
+
+
+@pytest.mark.parametrize("shape,k", DW_BACKWARD_CASES,
+                         ids=[f"{shape_id(s)}-k{k}" for s, k in DW_BACKWARD_CASES])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_depthwise_weight_gradient_matches_per_tap_einsum(rng, shape, k, dtype):
+    # equal up to the order of the additions, through conv2d's backward
+    c = shape[1]
+    x, g = rng.normal(size=shape).astype(dtype), rng.normal(size=shape).astype(dtype)
+    w = rng.normal(size=(c, 1, k, k)).astype(dtype)
+    wt = Tensor(w, requires_grad=True)
+    ops.conv2d(Tensor(x), wt, groups=c).backward(g)
+    assert wt.grad.dtype == dtype and wt.grad.flags["C_CONTIGUOUS"]
+    assert_close_to_tap_loop(wt.grad, per_tap_weight_grad(x, g, k), dtype)
 
 
 # Dense shapes wider than MODEL_KINDS, at batch 1 and 8: (x shape, c_out, k).

@@ -117,6 +117,63 @@ def test_adam_state_counts_steps(rng):
     assert state.t == 3
 
 
+def textbook_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One whole-tensor Adam update per array, in place: the form adam_step chunks."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        p -= (lr * update).astype(p.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_chunked_adam_is_bit_identical_to_the_whole_tensor_form(rng, dtype):
+    chunk = train.ADAM_CHUNK
+    shapes = {"one": (1,), "below": (chunk - 1,), "exact": (chunk,), "above": (chunk + 1,),
+              "several": (3 * chunk + 5,), "conv": (6, 1, 3, 3)}
+    store = ParamStore(seed=0, dtype=dtype)
+    for name, shape in shapes.items():
+        store.param(name, shape, init="fan_in", fan_in=9)
+    state = OptimizerState(store)
+    params = {name: p.data.copy() for name, p in store.items()}
+    m = {name: np.zeros_like(a) for name, a in params.items()}
+    v = {name: np.zeros_like(a) for name, a in params.items()}
+    for t, lr in enumerate((1e-3, 5e-4, 2e-4), start=1):
+        grads = {name: rng.normal(size=shapes[name]).astype(dtype) for name in shapes}
+        for name, p in store.items():
+            p.grad = grads[name]
+        adam_step(store, state, lr)
+        textbook_adam(params, grads, m, v, t, lr)
+    for name, p in store.items():
+        assert p.data.dtype == dtype
+        assert np.array_equal(p.data, params[name]), name
+        assert np.array_equal(state.m[name], m[name]), name
+        assert np.array_equal(state.v[name], v[name]), name
+
+
+def test_adam_updates_loaded_moments_that_are_not_contiguous(rng):
+    # adam_step writes through flat views; a transposed moment must not turn
+    # them into copies that drop the update
+    grad = rng.normal(size=(3, 3))
+    runs = []
+    for layout in (np.ascontiguousarray, np.transpose):
+        store = ParamStore(seed=0, dtype=np.float64)
+        p = store.param("w", (3, 3), init="ones")
+        p.grad = grad
+        state = OptimizerState(store)
+        state.load_arrays({"m.w": layout(np.full((3, 3), 0.5)), "v.w": layout(np.full((3, 3), 0.25))}, t=1)
+        adam_step(store, state, lr=1e-2)
+        runs.append((p.data, state.m["w"], state.v["w"]))
+    for want, got in zip(*runs):
+        assert np.array_equal(got, want)
+    assert not np.array_equal(runs[1][1], np.full((3, 3), 0.5))
+
+
 # -- training loop -----------------------------------------------------------------
 
 def small_pairs(count=8):
@@ -150,6 +207,16 @@ def test_training_writes_report_and_final_checkpoint(tmp_path):
     lines = (tmp_path / "report.jsonl").read_text().strip().splitlines()
     assert len(lines) == 4
     assert report.checkpoints
+
+
+def test_step_log_splits_the_step_time(tmp_path):
+    report = train_loop(quick_model(), small_pairs(), quick_cfg(), out_dir=tmp_path)
+    logged = [json.loads(line) for line in (tmp_path / "report.jsonl").read_text().splitlines()]
+    assert logged == report.records
+    for rec in logged:
+        parts = [rec["fwd_ms"], rec["bwd_ms"], rec["optim_ms"]]
+        assert all(part >= 0 for part in parts)
+        assert sum(parts) <= rec["wall_ms"]
 
 
 def test_periodic_checkpoints(tmp_path):
