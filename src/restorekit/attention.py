@@ -73,7 +73,11 @@ class GatedChannelAttention:
 
 
 class GatedFeedForward:
-    """Conv feed-forward with a gelu-gated branch pair (dual-path 1x1 -> dw 3x3)."""
+    """Restormer's gated feed-forward: 1x1 to 2 * hidden, depthwise 3x3, gelu gate, 1x1 back.
+
+    The depthwise output's first half, through GELU, gates its second half
+    (:func:`ops.gelu_gate`, one tape node).
+    """
 
     def __init__(self, store: ParamStore, name: str, channels: int, expansion: float = 2.66):
         hidden = int(channels * expansion)
@@ -82,8 +86,7 @@ class GatedFeedForward:
         self.project_out = Conv2d(store, f"{name}.project_out", hidden, channels, 1)
 
     def __call__(self, x: Tensor) -> Tensor:
-        a, b = ops.chunk(self.dw(self.project_in(x)), 2, axis=1)
-        return self.project_out(ops.mul(ops.gelu(a), b))
+        return self.project_out(ops.gelu_gate(self.dw(self.project_in(x))))
 
 
 class TransformerBlock:

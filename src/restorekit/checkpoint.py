@@ -12,7 +12,9 @@ only a tensor whose offset is not aligned for its dtype (an f64 after an
 odd-length f32, say) is copied out.  Loaded arrays are writable, and
 each load reads its own buffer, so writing into one load never shows in
 another.  ``load_model`` builds the model straight from those views,
-with no random initialization to throw away.
+with no random initialization to throw away; its buffer holds only the
+parameters' bytes, and the optimizer entries after them are read through
+the CRC-32 and dropped.
 
 Saves are atomic per file and ordered: the payload goes to a temp file that
 replaces ``<stem>.bin``, then the manifest replaces ``<stem>.json`` the same
@@ -91,6 +93,17 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
     The arrays are writable views of one payload buffer (see the module note).
     """
+    return _load(path, lambda name: True)
+
+
+def _load(path, keep) -> tuple[dict, dict[str, np.ndarray]]:
+    """Load the tensors whose names ``keep`` accepts, checking the whole payload.
+
+    Only the byte span covering the kept tensors is read into the buffer
+    they view; the bytes before and after it go through the CRC-32 in
+    bounded pieces and are not kept.  When every tensor is kept, that span
+    is the whole payload.
+    """
     stem = _stem(path)
     mpath, bpath = stem.with_suffix(".json"), stem.with_suffix(".bin")
     if not mpath.exists():
@@ -103,34 +116,61 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise DataError(f"manifest {mpath} is not valid JSON: {e}") from None
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"unsupported checkpoint schema {manifest.get('schema_version')!r}")
-    payload = np.fromfile(bpath, dtype=np.uint8)
-    declared = manifest.get("payload_bytes")
-    if declared is not None and declared != payload.size:
-        raise DataError(f"payload is {payload.size} bytes, manifest declares {declared}")
-    crc = manifest.get("payload_crc32")
-    if crc is not None and crc != zlib.crc32(payload):
-        raise DataError(f"payload {bpath} does not match the CRC-32 in {mpath}")
     entries = manifest.get("tensors")
     if not isinstance(entries, list):
         raise DataError(f"manifest {mpath} has no list of tensors")
+    tensors = [_entry(entry) for entry in entries]
+    with bpath.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        declared = manifest.get("payload_bytes")
+        if declared is not None and declared != size:
+            raise DataError(f"payload is {size} bytes, manifest declares {declared}")
+        for name, _, _, _, end in tensors:
+            if end > size:
+                raise DataError(f"tensor '{name}' overruns payload ({end} > {size})")
+        kept = [t for t in tensors if keep(t[0])]
+        lo, hi = 0, size
+        if len(kept) < len(tensors):
+            lo, hi = min((t[3] for t in kept), default=0), max((t[4] for t in kept), default=0)
+        crc = _crc_of_next(fh, lo, 0)
+        payload = np.empty(hi - lo, np.uint8)
+        if fh.readinto(payload) != payload.size:
+            raise DataError(f"payload {bpath} ended early")
+        crc = _crc_of_next(fh, size - hi, zlib.crc32(payload, crc))
+    if manifest.get("payload_crc32") not in (None, crc):
+        raise DataError(f"payload {bpath} does not match the CRC-32 in {mpath}")
     arrays = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or not {"name", "shape", "dtype", "offset"} <= entry.keys():
-            raise DataError(f"tensor entry {entry!r} needs a name, shape, dtype and offset")
-        name, code, shape, start = entry["name"], entry["dtype"], entry["shape"], entry["offset"]
-        if code not in _DTYPE_CODES:
-            raise DataError(f"tensor '{name}' has unknown dtype code '{code}'")
-        if not isinstance(shape, list) or not all(map(_is_count, shape)):
-            raise DataError(f"tensor '{name}' has invalid shape {shape!r}")
-        if not _is_count(start):
-            raise DataError(f"tensor '{name}' has invalid offset {start!r}")
-        dt = _DTYPE_CODES[code]
-        end = start + math.prod(shape) * dt.itemsize
-        if end > payload.size:
-            raise DataError(f"tensor '{name}' overruns payload ({end} > {payload.size})")
-        arr = payload[start:end].view(dt).reshape(shape)
+    for name, dt, shape, start, end in kept:
+        arr = payload[start - lo:end - lo].view(dt).reshape(shape)
         arrays[name] = arr if arr.flags.aligned else arr.copy()
     return manifest, arrays
+
+
+def _entry(entry) -> tuple:
+    """Validate one manifest tensor entry into (name, dtype, shape, start, end)."""
+    if not isinstance(entry, dict) or not {"name", "shape", "dtype", "offset"} <= entry.keys():
+        raise DataError(f"tensor entry {entry!r} needs a name, shape, dtype and offset")
+    name, code, shape, start = entry["name"], entry["dtype"], entry["shape"], entry["offset"]
+    if code not in _DTYPE_CODES:
+        raise DataError(f"tensor '{name}' has unknown dtype code '{code}'")
+    if not isinstance(shape, list) or not all(map(_is_count, shape)):
+        raise DataError(f"tensor '{name}' has invalid shape {shape!r}")
+    if not _is_count(start):
+        raise DataError(f"tensor '{name}' has invalid offset {start!r}")
+    dt = _DTYPE_CODES[code]
+    return name, dt, shape, start, start + math.prod(shape) * dt.itemsize
+
+
+def _crc_of_next(fh, count: int, crc: int) -> int:
+    """Feed the next ``count`` bytes of ``fh`` through CRC-32, 4 MB at a time, keeping none."""
+    piece = memoryview(bytearray(min(count, 4 << 20)))
+    while count:
+        got = fh.readinto(piece[:min(count, len(piece))])
+        if not got:
+            raise DataError(f"payload {fh.name} ended early")
+        crc = zlib.crc32(piece[:got], crc)
+        count -= got
+    return crc
 
 
 def _is_count(v) -> bool:
@@ -141,6 +181,13 @@ def _is_count(v) -> bool:
 # -- model-level helpers -----------------------------------------------------
 
 OPTIM_PREFIX = "optim."
+
+
+def split_optim(arrays: dict[str, np.ndarray]) -> tuple[dict, dict]:
+    """A loaded checkpoint's arrays as (parameters, optimizer entries without the prefix)."""
+    params = {n: a for n, a in arrays.items() if not n.startswith(OPTIM_PREFIX)}
+    optim = {n[len(OPTIM_PREFIX):]: a for n, a in arrays.items() if n.startswith(OPTIM_PREFIX)}
+    return params, optim
 
 
 def save_model(model, path, train_state: dict | None = None,
@@ -157,19 +204,21 @@ def save_model(model, path, train_state: dict | None = None,
 def load_model(path, dtype=None):
     """Rebuild the model a checkpoint was saved from.
 
-    Returns (model, manifest, arrays); ``arrays`` still holds optimizer
-    entries so training can resume.  Inference only needs the model.  The
-    parameters are the loaded arrays themselves (cast only when ``dtype``
-    differs), so nothing is drawn and nothing is copied.
+    Returns (model, manifest, arrays); ``arrays`` holds the parameters only.
+    The parameters are the loaded arrays themselves (cast only when
+    ``dtype`` differs), so nothing is drawn and nothing is copied.  The
+    optimizer entries, which ``save_model`` writes after the parameters,
+    are checked against the CRC-32 but not kept, so a training checkpoint
+    costs an inference process no more memory than a bare one; resuming
+    training needs :func:`load_checkpoint`.
     """
     from .model import RestorationModel, config_from_dict
 
-    manifest, arrays = load_checkpoint(path)
+    manifest, params = _load(path, lambda name: not name.startswith(OPTIM_PREFIX))
     if not isinstance(manifest.get("config"), dict):
         raise DataError(f"checkpoint {_stem(path)} has no model config")
     config = config_from_dict(manifest["config"])
-    params = {n: a for n, a in arrays.items() if not n.startswith(OPTIM_PREFIX)}
     if dtype is None:
         dtype = params[next(iter(params))].dtype if params else np.float32
     model = RestorationModel(config, dtype=dtype, arrays=params)
-    return model, manifest, arrays
+    return model, manifest, params

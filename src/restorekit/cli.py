@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .checkpoint import load_model
+from .checkpoint import load_checkpoint, load_model, split_optim
 from .degrade import (TASKS, clean_sources_crc32, degrade, make_patch_set, procedural_image,
                       spec_for_task)
 from .errors import ConfigError, DataError, NumericsError, ShapeError, UsageError
@@ -181,7 +181,10 @@ def cmd_train(ns) -> int:
         raise ConfigError("need count >= 1 and holdout >= 0")
 
     dtype = np.float64 if ns.precision == "f64" else np.float32
-    model = RestorationModel(config_by_name(ns.size, seed=ns.seed), dtype=dtype)
+    # a resume builds the model from the checkpoint it loads once, drawing nothing
+    resume = load_checkpoint(ns.resume) if ns.resume else None
+    params = None if resume is None else split_optim(resume[1])[0]
+    model = RestorationModel(config_by_name(ns.size, seed=ns.seed), dtype=dtype, arrays=params)
     total = ns.count + ns.holdout
     pairs = make_patch_set(spec, total, patch=ns.patch, seed=ns.seed, clean_dir=ns.data)
     train_pairs = pairs[:ns.count]
@@ -200,7 +203,7 @@ def cmd_train(ns) -> int:
         if rec["step"] % 50 == 0 or rec["step"] == cfg.steps - 1:
             print(f"step {rec['step']:5d}  lr {rec['lr']:.3e}  loss {rec['loss']:.5f}")
 
-    report = train_loop(model, train_pairs, cfg, out_dir=out_dir, resume=ns.resume, log=log,
+    report = train_loop(model, train_pairs, cfg, out_dir=out_dir, resume=resume, log=log,
                         data_recipe=recipe)
 
     summary = {"steps": cfg.steps, "train_pairs": len(train_pairs),

@@ -166,6 +166,8 @@ def check_primitives(seed: int = 0) -> dict[str, float]:
     dv = Tensor(rng.normal(size=(3, 5)) + 3.0, requires_grad=True)
     dn = Tensor(rng.normal(size=(3, 5)))
     run("div.denominator", lambda v: ops.tsum(ops.square(ops.div(dn, v))), dv)
+    # both halves feed the loss: the GELU half and the half it gates
+    run("gelu_gate", lambda v, p=_projector(rng): p(ops.gelu_gate(v)), _t(rng, (2, 6, 3, 3)))
     return out
 
 

@@ -167,13 +167,18 @@ def astensor(x, dtype=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def recording(parents) -> bool:
+    """Whether an op on ``parents`` goes on the tape: grads are live and one parent needs them."""
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
 def make_node(data, parents, backward, op: str) -> Tensor:
     """Create an op output, wiring it into the tape if grads are live."""
     out = Tensor(data)
     out.op = op
     if _finite_trace.get() and not np.all(np.isfinite(out.data)):
         raise NumericsError(f"non-finite values produced by op '{op}' with output shape {out.data.shape}")
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

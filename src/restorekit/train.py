@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .checkpoint import OPTIM_PREFIX, load_checkpoint, save_model
+from .checkpoint import load_checkpoint, save_model, split_optim
 from .errors import ConfigError, DataError, NumericsError, UsageError
 from .params import ParamStore
 from .tensor import Tensor, finite_trace
@@ -195,8 +195,10 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
     any periodic checkpoints.  resume: a checkpoint stem written by a
     previous run with the same TrainConfig (checkpoint_every aside),
     parameter dtype and data recipe, else ConfigError naming the first
-    difference; the report then keeps the records before the checkpoint's
-    step, so each step appears once.
+    difference; or the (manifest, arrays) pair ``load_checkpoint`` read
+    from one, when the caller built ``model`` from those arrays.  The
+    report then keeps the records before the checkpoint's step, so each
+    step appears once.
     """
     cfg.validate()
     if not pairs:
@@ -207,19 +209,20 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
     start_step = 0
 
     if resume is not None:
-        manifest, arrays = load_checkpoint(resume)
+        manifest, arrays = resume if isinstance(resume, tuple) else load_checkpoint(resume)
+        where = "the resumed checkpoint" if isinstance(resume, tuple) else f"checkpoint {resume}"
         ts = manifest.get("train_state") or {}
         if "step" not in ts:
-            raise ConfigError(f"checkpoint {resume} has no training state to resume from")
-        params = {n: a for n, a in arrays.items() if not n.startswith(OPTIM_PREFIX)}
+            raise ConfigError(f"{where} has no training state to resume from")
+        params, optim = split_optim(arrays)
         saved = {"dtype": str(next(iter(params.values())).dtype), **(ts.get("train_config") or {}),
                  **(ts.get("data_recipe") or {})}
         for name, value in {"dtype": str(store.dtype), **asdict(cfg), **(data_recipe or {})}.items():
             # checkpoint_every only decides when snapshots are written
             if name != "checkpoint_every" and saved.get(name) != value:
-                raise ConfigError(f"checkpoint {resume} has {name}={saved.get(name)!r}, this run has {value!r}")
+                raise ConfigError(f"{where} has {name}={saved.get(name)!r}, "
+                                  f"this run has {value!r}")
         store.load_arrays(params)
-        optim = {n[len(OPTIM_PREFIX):]: a for n, a in arrays.items() if n.startswith(OPTIM_PREFIX)}
         state.load_arrays(optim, ts["step"])
         rng.bit_generator.state = ts["rng_state"]
         start_step = ts["step"]

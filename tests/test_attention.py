@@ -139,6 +139,16 @@ def test_feed_forward_hidden_width_and_shapes(rng):
     assert y.shape == (2, 8, 5, 5)
 
 
+def test_feed_forward_is_four_tape_nodes(rng):
+    store = ParamStore(seed=0, dtype=np.float32)
+    ffn = GatedFeedForward(store, "f", 8)
+    node, ops_seen = ffn(Tensor(rng.normal(size=(2, 8, 5, 5)).astype(np.float32))), []
+    while node.op != "leaf":
+        ops_seen.append(node.op)
+        node = node._parents[0]
+    assert ops_seen == ["conv2d", "gelu_gate", "conv2d", "conv2d"]
+
+
 def test_feed_forward_zero_gate_branch_kills_output(rng):
     store = ParamStore(seed=0, dtype=np.float64)
     ffn = GatedFeedForward(store, "f", 4)

@@ -9,6 +9,7 @@ import pytest
 from restorekit import cli, ops
 from restorekit.checkpoint import load_checkpoint, save_checkpoint, save_model
 from restorekit.model import RestorationModel, tiny_config
+from restorekit.params import ParamStore
 from restorekit.ppm import read_ppm, write_ppm
 from restorekit.train import TrainConfig
 
@@ -245,7 +246,8 @@ def trained_with_checkpoints(out):
 
 
 @pytest.mark.parametrize("flag, value, named", [("--steps", "3", "steps="), ("--lr0", "1.0", "lr0="),
-                                                ("--precision", "f64", "dtype='float32'")])
+                                                ("--precision", "f64", "dtype='float32'"),
+                                                ("--size", "small", "parameter")])
 def test_resume_with_a_different_setup_exits_two(tmp_path, capsys, flag, value, named):
     out = tmp_path / "run"
     argv = trained_with_checkpoints(out)
@@ -281,6 +283,31 @@ def test_resume_on_changed_data_contents_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert run(argv + resume) == 2
     assert "data_crc32=" in capsys.readouterr().err
+
+
+class NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"a resume drew from the parameter initializer ({name})")
+
+
+def test_resume_builds_the_model_from_the_checkpoint(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    argv = trained_with_checkpoints(out)
+    real_init = ParamStore.__init__
+
+    def no_draws(store, *args, **kwargs):
+        real_init(store, *args, **kwargs)
+        store.rng = NoDraws()
+
+    monkeypatch.setattr(ParamStore, "__init__", no_draws)
+    resumed = tmp_path / "resumed"
+    assert run(argv + ["--resume", str(out / "ckpt_step000001"), "--out", str(resumed)]) == 0
+    # the straight run's second step, which a resume from step 1 reproduces bit for bit
+    _, want = load_checkpoint(out / "ckpt_final")
+    _, got = load_checkpoint(resumed / "ckpt_final")
+    assert got.keys() == want.keys() and any(n.startswith("optim.") for n in got)
+    for name, arr in want.items():
+        assert np.array_equal(got[name], arr), name
 
 
 def test_resume_without_an_adam_moment_exits_three(tmp_path, capsys):

@@ -71,7 +71,7 @@ def test_checker_flags_a_planted_gradient_bug(rng):
 
 def test_primitive_report_covers_the_op_set():
     report = gradcheck.check_primitives(0)
-    assert len(report) >= 29
+    assert len(report) >= 30
     for probe in ("conv2d.x", "conv2d.1x1", "conv2d.depthwise.x", "conv2d.depthwise5", "fft2d", "ifft2d",
-                  "softmax", "normalize.layer", "chunk", "chunk.all", "div.denominator"):
+                  "softmax", "normalize.layer", "chunk", "chunk.all", "div.denominator", "gelu_gate"):
         assert probe in report

@@ -1,16 +1,19 @@
 """Pointwise ops, softmax, norms, linear algebra, pooling, resampling."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from restorekit import ops
 from restorekit.errors import ConfigError, ShapeError
 from restorekit.layers import GroupNorm, LayerNorm
 from restorekit.params import ParamStore
-from restorekit.tensor import Tensor
+from restorekit.tensor import Tensor, no_grad
 
 mpmath.mp.dps = 50
 
@@ -36,6 +39,101 @@ def test_gelu_matches_high_precision_reference():
     # frozen spot values
     assert abs(got[0] - (-0.04550026389635842)) < 1e-12
     assert got[1] == 0.0
+
+
+def gate_by_parts(y):
+    """The gelu gate as the network built it before gelu_gate: chunk, gelu, mul."""
+    a, b = ops.chunk(y, 2, axis=1)
+    return ops.mul(ops.gelu(a), b)
+
+
+def gate_value_and_grad(gate, y, g):
+    leaf = Tensor(y, requires_grad=True)
+    out = gate(ops.reshape(leaf, y.shape))  # a tape node, as the dw conv output is
+    out.backward(g)
+    return out.data, leaf.grad
+
+
+# Per-half sizes around the chunk length, and batch 8, whose halves are
+# runs of one image each rather than one contiguous block.
+GATE_SHAPES = {
+    "one": (1, 2, 1, 1),
+    "chunk-1": (1, 2, 1, ops.GELU_CHUNK - 1),
+    "chunk": (1, 4, 1, ops.GELU_CHUNK // 2),
+    "chunk+1": (1, 2, 1, ops.GELU_CHUNK + 1),
+    "batch8": (8, 6, 5, 7),
+    "batch8-over-chunk": (8, 2, 1, ops.GELU_CHUNK + 3),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("shape", list(GATE_SHAPES.values()), ids=list(GATE_SHAPES))
+def test_gelu_gate_equals_chunk_gelu_mul(rng, shape, dtype):
+    y = (3.0 * rng.normal(size=shape)).astype(dtype)
+    g = rng.normal(size=(shape[0], shape[1] // 2) + shape[2:]).astype(dtype)
+    got, got_grad = gate_value_and_grad(ops.gelu_gate, y, g)
+    want, want_grad = gate_value_and_grad(gate_by_parts, y, g)
+    assert got.dtype == got_grad.dtype == dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_grad, want_grad)
+
+
+def gelu_f64(x):
+    return x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))))
+
+
+def test_float32_gelu_and_gate_track_the_float64_reference():
+    x = np.linspace(-10.0, 10.0, 400001).astype(np.float32)
+    x64 = x.astype(np.float64)
+    tol = 1e-6 * np.maximum(1.0, np.abs(x64))
+    slope = 0.5 * (1.0 + erf(x64 / np.sqrt(2.0))) + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
+    leaf = Tensor(x, requires_grad=True)
+    got = ops.gelu(leaf)
+    got.backward(np.ones_like(x))
+    assert np.all(np.abs(got.data - gelu_f64(x64)) <= tol)
+    assert np.all(np.abs(leaf.grad - slope) <= tol)
+    # the gate with b = 1 is gelu(a), and its b-gradient gelu(a)
+    y = np.stack([x, np.ones_like(x)]).reshape(1, 2, 1, -1)
+    gate, grad = gate_value_and_grad(ops.gelu_gate, y, np.ones((1, 1, 1, x.size), np.float32))
+    assert np.all(np.abs(gate.ravel() - gelu_f64(x64)) <= tol)
+    assert np.all(np.abs(grad[0, 0, 0] - slope) <= tol)
+    assert np.all(np.abs(grad[0, 1, 0] - gelu_f64(x64)) <= tol)
+
+
+def test_float32_gelu_edge_values_behave_as_scipy_erf():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], np.float32)
+    with np.errstate(invalid="ignore"):
+        want = x * (np.float32(0.5) * (np.float32(1.0) + erf(x * np.float32(1.0 / np.sqrt(2.0)))))
+        got = ops.gelu(Tensor(x)).data
+        gate = ops.gelu_gate(Tensor(np.stack([x, np.ones_like(x)]).reshape(1, 2, 1, -1))).data.ravel()
+    for out in (got, gate):
+        assert out.dtype == np.float32
+        assert np.array_equal(out, want, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+
+
+def test_gelu_gate_keeps_phi_only_on_the_tape(rng):
+    y = rng.normal(size=(1, 2, 1, 16 * ops.GELU_CHUNK))
+    out_bytes = y.nbytes // 2
+
+    def peak(y):
+        tracemalloc.start()
+        out = ops.gelu_gate(y)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        del out
+        return peak
+
+    with no_grad():
+        assert peak(Tensor(y, requires_grad=True)) < 1.5 * out_bytes
+    assert peak(Tensor(y, requires_grad=True)) >= 2 * out_bytes
+
+
+def test_gelu_gate_refuses_an_odd_channel_count(rng):
+    with pytest.raises(ShapeError):
+        ops.gelu_gate(Tensor(rng.normal(size=(1, 3, 2, 2))))
+    with pytest.raises(ShapeError):
+        ops.gelu_gate(Tensor(rng.normal(size=(2, 4))))
 
 
 def test_relu_and_sigmoid_basic_values():
@@ -79,7 +177,8 @@ def test_sigmoid_equals_masked_two_branch_form(rng, dtype):
     lambda x: ops.div(x, np.float64(3.0)),
     lambda x: ops.sub(1.0, x),
     ops.gelu,
-], ids=["add-scalar", "scalar-mul", "div-np-float64", "scalar-sub", "gelu"])
+    lambda x: ops.gelu_gate(ops.reshape(x, (1, 2, 2, 3))),
+], ids=["add-scalar", "scalar-mul", "div-np-float64", "scalar-sub", "gelu", "gelu_gate"])
 def test_scalar_operands_keep_float32(op, rng):
     x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
     y = op(x)

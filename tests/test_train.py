@@ -489,6 +489,31 @@ def test_load_model_rejects_a_parameter_set_mismatch(tmp_path, edit, named):
         load_model(stem)
 
 
+def test_load_model_keeps_only_the_parameter_bytes(tmp_path):
+    pairs = small_pairs()
+    model = quick_model()
+    train_loop(model, pairs, quick_cfg(steps=1), out_dir=tmp_path)
+    stem = tmp_path / "ckpt_final"
+    manifest, everything = load_checkpoint(stem)
+    loaded, _, arrays = load_model(stem)
+    param_bytes = sum(t.data.nbytes for t in model.store.tensors())
+    assert arrays.keys() == set(model.store.names())
+    assert any(n.startswith("optim.") for n in everything)
+    for name, p in loaded.store.items():
+        assert np.array_equal(p.data, everything[name])
+        root = p.data
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes <= param_bytes, name
+    # a moment is not kept, but it is still checked
+    payload = bytearray((tmp_path / "ckpt_final.bin").read_bytes())
+    assert manifest["tensors"][-1]["name"].startswith("optim.")
+    payload[-1] ^= 1
+    (tmp_path / "ckpt_final.bin").write_bytes(payload)
+    with pytest.raises(DataError, match="CRC-32"):
+        load_model(stem)
+
+
 def test_load_model_draws_no_random_numbers(tmp_path):
     seed = 11
     stem = save_model(RestorationModel(tiny_config(seed=seed)), tmp_path / "m")
