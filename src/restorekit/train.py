@@ -54,16 +54,23 @@ class TrainConfig:
             raise ConfigError("checkpoint_every must be >= 0")
 
 
-def l1_fourier_loss(pred: Tensor, target: Tensor, weight: float = 0.1) -> Tensor:
+def l1_fourier_loss(pred: Tensor, target: Tensor, weight: float = 0.1,
+                    parts: dict | None = None) -> Tensor:
     """mean|pred - target| + weight * (mean|dRe| + mean|dIm|) over the spectrum.
 
     The mean over fft2d's stacked [Re; Im] planes is half that sum, hence 2 * weight.
+    A ``parts`` dict gets the values of the two terms, "pixel" and the
+    weighted "fourier" (0.0 at weight 0).
     """
     pixel = ops.tmean(ops.absolute(ops.sub(pred, target)))
-    if weight == 0:
-        return pixel
-    spectral = ops.tmean(ops.absolute(ops.sub(ops.fft2d(pred), ops.fft2d(target))))
-    return ops.add(pixel, ops.mul(spectral, 2 * weight))
+    fourier = None
+    if weight != 0:
+        spectral = ops.tmean(ops.absolute(ops.sub(ops.fft2d(pred), ops.fft2d(target))))
+        fourier = ops.mul(spectral, 2 * weight)
+    if parts is not None:
+        parts["pixel"] = float(pixel.data)
+        parts["fourier"] = 0.0 if fourier is None else float(fourier.data)
+    return pixel if fourier is None else ops.add(pixel, fourier)
 
 
 def cosine_lr(t: int, total: int, lr0: float, lr_min: float) -> float:
@@ -75,12 +82,21 @@ def cosine_lr(t: int, total: int, lr0: float, lr_min: float) -> float:
 
 
 class OptimizerState:
-    """Adam first/second moments per parameter plus the step counter."""
+    """Adam first/second moments per parameter plus the step counter.
+
+    Each role (``m``, ``v``) is one zeroed buffer per parameter dtype, and
+    each parameter's moment is a C-contiguous view of it, in store order.
+    A buffer that size is a mapping of its own: its pages are only touched
+    when Adam first writes them, and it goes back to the OS whole once the
+    state is dropped, instead of staying in the heap as a thousand small
+    arrays would.  ``load_arrays`` replaces the views with the loaded
+    moments; the buffers were never written, so they cost no resident memory.
+    """
 
     def __init__(self, store: ParamStore):
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in store.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in store.items()}
+        self.m = _zero_views(store)
+        self.v = _zero_views(store)
 
     def arrays(self) -> dict[str, np.ndarray]:
         out = {}
@@ -109,6 +125,22 @@ class OptimizerState:
         self.t = t
         self.m = {name: np.ascontiguousarray(arrays[f"m.{name}"]) for name in self.m}
         self.v = {name: np.ascontiguousarray(arrays[f"v.{name}"]) for name in self.v}
+
+
+def _zero_views(store: ParamStore) -> dict[str, np.ndarray]:
+    """One zeroed view per parameter, shaped like it, carved in store order
+    from one buffer per dtype."""
+    sizes = {}
+    for p in store.tensors():
+        sizes[p.data.dtype] = sizes.get(p.data.dtype, 0) + p.data.size
+    buffers = {dt: np.zeros(size, dt) for dt, size in sizes.items()}
+    offsets = dict.fromkeys(buffers, 0)
+    views = {}
+    for name, p in store.items():
+        dt, lo = p.data.dtype, offsets[p.data.dtype]
+        offsets[dt] = lo + p.data.size
+        views[name] = buffers[dt][lo:offsets[dt]].reshape(p.data.shape)
+    return views
 
 
 def adam_step(store: ParamStore, state: OptimizerState, lr: float,
@@ -199,6 +231,13 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
     from one, when the caller built ``model`` from those arrays.  The
     report then keeps the records before the checkpoint's step, so each
     step appears once.
+
+    Each record holds the loss and its ``pixel_loss`` and ``fourier_loss``
+    parts, and the step's ``wall_ms`` split into ``fwd_ms`` (releasing the
+    previous step's gradients, the forward and the loss), ``bwd_ms`` and
+    ``optim_ms``.  A step holds the parameters, the two moments and its
+    tape at its peak: the previous gradients are released before the
+    forward.  The last step's gradients stay on the parameters.
     """
     cfg.validate()
     if not pairs:
@@ -250,8 +289,11 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
         idxs = rng.choice(len(pairs), size=cfg.batch_size, replace=replace_draw)
         xs, ys = _stack_batch(pairs, idxs, store.dtype)
         t0 = time.perf_counter()
+        # the previous step's gradients go before the new tape grows
+        store.zero_grads()
         pred = model.forward(xs)
-        loss = l1_fourier_loss(pred, Tensor(ys), cfg.lambda_fourier)
+        parts = {}
+        loss = l1_fourier_loss(pred, Tensor(ys), cfg.lambda_fourier, parts)
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
             # localise the blow-up: re-run the same forward under tracing
@@ -263,14 +305,14 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
                 raise NumericsError(f"training aborted at step {step}: {e}") from None
             raise NumericsError(f"training aborted at step {step}: non-finite loss")
         t1 = time.perf_counter()
-        store.zero_grads()
         loss.backward()
         t2 = time.perf_counter()
         lr = cosine_lr(step, cfg.steps, cfg.lr0, cfg.lr_min)
         t3 = time.perf_counter()
         adam_step(store, state, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         t4 = time.perf_counter()
-        record = {"step": step, "lr": lr, "loss": loss_val, "wall_ms": (t4 - t0) * 1000.0,
+        record = {"step": step, "lr": lr, "loss": loss_val, "pixel_loss": parts["pixel"],
+                  "fourier_loss": parts["fourier"], "wall_ms": (t4 - t0) * 1000.0,
                   "fwd_ms": (t1 - t0) * 1000.0, "bwd_ms": (t2 - t1) * 1000.0,
                   "optim_ms": (t4 - t3) * 1000.0}
         report.records.append(record)

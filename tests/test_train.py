@@ -2,6 +2,7 @@
 
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -40,7 +41,9 @@ def test_loss_weight_zero_is_pixel_only(rng):
     p = Tensor(rng.normal(size=(1, 3, 8, 8)))
     t = Tensor(rng.normal(size=(1, 3, 8, 8)))
     pixel = float(np.mean(np.abs(p.data - t.data)))
-    assert float(l1_fourier_loss(p, t, 0.0).data) == pytest.approx(pixel, rel=1e-12)
+    parts = {}
+    assert float(l1_fourier_loss(p, t, 0.0, parts).data) == pytest.approx(pixel, rel=1e-12)
+    assert parts == {"pixel": pytest.approx(pixel, rel=1e-12), "fourier": 0.0}
     assert float(l1_fourier_loss(p, t, 0.1).data) > pixel
 
 
@@ -49,9 +52,15 @@ def test_loss_matches_numpy_real_and_imaginary_terms(rng):
     t = rng.normal(size=(2, 3, 8, 6))
     d = np.fft.fft2(p, axes=(-2, -1)) - np.fft.fft2(t, axes=(-2, -1))
     lam = 0.3
-    want = np.mean(np.abs(p - t)) + lam * (np.mean(np.abs(d.real)) + np.mean(np.abs(d.imag)))
-    got = float(l1_fourier_loss(Tensor(p), Tensor(t), lam).data)
-    assert got == pytest.approx(want, rel=1e-12)
+    pixel = np.mean(np.abs(p - t))
+    fourier = lam * (np.mean(np.abs(d.real)) + np.mean(np.abs(d.imag)))
+    parts = {}
+    got = float(l1_fourier_loss(Tensor(p), Tensor(t), lam, parts).data)
+    assert got == pytest.approx(pixel + fourier, rel=1e-12)
+    assert parts["pixel"] == pytest.approx(pixel, rel=1e-12)
+    assert parts["fourier"] == pytest.approx(fourier, rel=1e-12)
+    assert parts["pixel"] + parts["fourier"] == pytest.approx(got, rel=1e-15)
+    assert got == float(l1_fourier_loss(Tensor(p), Tensor(t), lam).data)
 
 
 def test_loss_is_differentiable(rng):
@@ -174,6 +183,36 @@ def test_adam_updates_loaded_moments_that_are_not_contiguous(rng):
     assert not np.array_equal(runs[1][1], np.full((3, 3), 0.5))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_optimizer_moments_share_one_buffer_per_role(rng, dtype):
+    store = ParamStore(seed=0, dtype=dtype)
+    for name, shape in {"w": (6, 1, 3, 3), "b": (6,), "empty": (0, 2), "big": (3, 70000)}.items():
+        store.param(name, shape, init="fan_in", fan_in=9)
+    state = OptimizerState(store)
+    bases = []
+    for role in (state.m, state.v):
+        base = role["w"].base
+        assert base is not None and base.size == store.total_parameters()
+        for name, p in store.items():
+            arr = role[name]
+            assert arr.base is base and arr.shape == p.data.shape and arr.dtype == dtype, name
+            assert arr.flags.c_contiguous and not np.any(arr), name
+        bases.append(base)
+    assert bases[0] is not bases[1]
+    for p in store.tensors():
+        p.grad = rng.normal(size=p.data.shape).astype(dtype)
+    adam_step(store, state, lr=1e-3)
+    offset = 0
+    for name, p in store.items():
+        for role, base in zip((state.m, state.v), bases):
+            assert np.array_equal(base[offset:offset + p.data.size], role[name].ravel()), name
+        offset += p.data.size
+    assert np.any(bases[0]) and np.any(bases[1])
+    refs = [weakref.ref(base) for base in bases]
+    del state, bases, base, role, arr
+    assert all(ref() is None for ref in refs)
+
+
 # -- training loop -----------------------------------------------------------------
 
 def small_pairs(count=8):
@@ -217,6 +256,30 @@ def test_step_log_splits_the_step_time(tmp_path):
         parts = [rec["fwd_ms"], rec["bwd_ms"], rec["optim_ms"]]
         assert all(part >= 0 for part in parts)
         assert sum(parts) <= rec["wall_ms"]
+        assert rec["pixel_loss"] > 0 and rec["fourier_loss"] > 0
+        assert rec["pixel_loss"] + rec["fourier_loss"] == pytest.approx(rec["loss"], rel=1e-12)
+
+
+def test_train_loop_releases_gradients_before_each_forward(monkeypatch):
+    model = quick_model()
+    held = []
+    real_forward = model.forward
+
+    def forward(x):
+        held.append([name for name, p in model.store.items() if p.grad is not None])
+        return real_forward(x)
+
+    monkeypatch.setattr(model, "forward", forward)
+    train_loop(model, small_pairs(), quick_cfg(steps=3))
+    assert held == [[], [], []]
+
+
+def test_train_loop_keeps_the_last_step_gradients():
+    model = quick_model()
+    train_loop(model, small_pairs(), quick_cfg(steps=2))
+    for name, p in model.store.items():
+        assert p.grad is not None and p.grad.shape == p.data.shape, name
+        assert np.all(np.isfinite(p.grad)), name
 
 
 def test_periodic_checkpoints(tmp_path):
