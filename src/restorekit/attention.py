@@ -1,14 +1,15 @@
 """Transposed-channel attention with prompt-conditioned temperature and gate.
 
 Attention runs across channels (a (c/heads)^2 map per head) rather than
-across pixels, so cost stays linear in image size.  The degradation prompt
-can modulate it two ways: a per-head temperature dividing the logits, and
-a per-channel sigmoid gate scaling the projected output.
+across pixels, so cost stays linear in image size.  Its core, from the
+depthwise qkv map to the attended values, is one tape node,
+:func:`ops.channel_attention` (Restormer's MDTA).  The degradation prompt
+can modulate it two ways: a per-head temperature dividing the logits, an
+input of that node, and a per-channel sigmoid gate scaling the projected
+output.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import ops
 from .errors import ConfigError
@@ -45,24 +46,14 @@ class GatedChannelAttention:
         return ops.exp(ops.add(ops.reshape(self.theta_base, (1, self.heads)), self.temp_map(prompt)))
 
     def attend(self, x: Tensor, prompt: Tensor | None) -> Tensor:
-        """Attention output after projection, before any output gating."""
-        n, c, h, w = x.shape
-        d = c // self.heads
+        """Attention output after projection, before any output gating.
+
+        The core between the qkv depthwise conv and the projection is one
+        tape node, :func:`ops.channel_attention`, with the temperatures as
+        an input.
+        """
         qkv = self.qkv_dw(self.qkv(x))
-        q, k, v = ops.chunk(qkv, 3, axis=1)
-        q = ops.reshape(q, (n, self.heads, d, h * w))
-        k = ops.reshape(k, (n, self.heads, d, h * w))
-        v = ops.reshape(v, (n, self.heads, d, h * w))
-        q = ops.l2_normalize(q, axis=-1)
-        k = ops.l2_normalize(k, axis=-1)
-        logits = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2)))  # (n, heads, d, d)
-        tau = self.temperatures(prompt)
-        if tau is not None:
-            logits = ops.div(logits, ops.reshape(tau, (n, self.heads, 1, 1)))
-        attn = ops.softmax(logits, axis=-1)
-        out = ops.matmul(attn, v)
-        out = ops.reshape(out, (n, c, h, w))
-        return self.proj(out)
+        return self.proj(ops.channel_attention(qkv, self.heads, self.temperatures(prompt)))
 
     def __call__(self, x: Tensor, prompt: Tensor | None = None) -> Tensor:
         out = self.attend(x, prompt)

@@ -159,15 +159,16 @@ def check_primitives(seed: int = 0) -> dict[str, float]:
     run("pixel_unshuffle", lambda v: ops.tsum(ops.square(ops.pixel_unshuffle(v, 2))), _t(rng, (1, 2, 4, 4)))
     run("pixel_shuffle", lambda v: ops.tsum(ops.square(ops.pixel_shuffle(v, 2))), _t(rng, (1, 8, 2, 2)))
     run("concat", lambda v: ops.tsum(ops.square(ops.concat([v, v], axis=1))), _t(rng, (2, 3, 2, 2)))
-    run("chunk", lambda v: ops.tsum(ops.square(ops.chunk(v, 3, axis=1)[1])), _t(rng, (2, 6, 2, 2)))
-    # every part feeds the loss; neg makes the split map a tape node, whose
-    # parts share one gradient map (a leaf's parts do not)
-    run("chunk.all", lambda v, p=_projector(rng): p(*ops.chunk(ops.neg(v), 3, axis=1)), _t(rng, (2, 6, 2, 2)))
     dv = Tensor(rng.normal(size=(3, 5)) + 3.0, requires_grad=True)
     dn = Tensor(rng.normal(size=(3, 5)))
     run("div.denominator", lambda v: ops.tsum(ops.square(ops.div(dn, v))), dv)
     # both halves feed the loss: the GELU half and the half it gates
     run("gelu_gate", lambda v, p=_projector(rng): p(ops.gelu_gate(v)), _t(rng, (2, 6, 3, 3)))
+    # two heads of three channels; positive temperatures, as exp() makes them
+    qkv = _t(rng, (2, 18, 3, 4))
+    tau = Tensor(rng.uniform(0.5, 2.0, size=(2, 2)), requires_grad=True)
+    run("channel_attention", lambda v, p=_projector(rng): p(ops.channel_attention(v, 2, tau)), qkv)
+    run("channel_attention.tau", lambda v, p=_projector(rng): p(ops.channel_attention(qkv, 2, v)), tau)
     return out
 
 

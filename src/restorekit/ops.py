@@ -2,10 +2,9 @@
 
 Free functions over :class:`~restorekit.tensor.Tensor`; each builds one (or
 a few) tape nodes.  Convolution, softmax, the normalizations (standardize,
-l2_normalize), mean_std, FFT, pixel shuffles and gelu_gate are single
-nodes with hand-written backwards.  gap reuses tmean and inherits its
-gradient; chunk builds its parts with narrow, and they write their
-gradients into one shared map of the parent.
+l2_normalize), mean_std, FFT, pixel shuffles, gelu_gate and
+channel_attention are single nodes with hand-written backwards.  gap
+reuses tmean and inherits its gradient.
 
 Conventions:
   - conv2d computes stride-1 "same" cross-correlation (no kernel flip): an
@@ -263,18 +262,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return make_node(data, tuple(tensors), backward, "concat")
 
 
-def narrow(a, axis: int, start: int, length: int, shared: list | None = None) -> Tensor:
+def narrow(a, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` entries along ``axis``.
 
     The backward writes the slice's gradient into a zero map of ``a``.
-    ``shared`` is how the parts of one :func:`chunk` call share that map: a
-    one-item list, holding None until the first part's backward allocates
-    the map and hands it to ``a.grad``.  A later part writes its slice
-    straight into the map while ``a.grad`` is still that very array.  Every
-    part's backward runs before ``a``'s, and nothing reads ``a.grad`` until
-    then, so the map is not yet seen by anyone.  Once another consumer has
-    added into ``a.grad``, it is a new array, and the part allocates a zero
-    map of its own as a plain narrow does.
     """
     a = astensor(a)
     idx = [slice(None)] * a.ndim
@@ -282,32 +273,11 @@ def narrow(a, axis: int, start: int, length: int, shared: list | None = None) ->
     idx = tuple(idx)
 
     def backward(g):
-        if shared is not None and shared[0] is not None and a.grad is shared[0]:
-            shared[0][idx] = g
-            return
         gx = np.zeros_like(a.data)
         gx[idx] = g
-        if shared is not None and shared[0] is None:
-            shared[0] = gx
         accumulate_grad(a, gx)
 
     return make_node(a.data[idx], (a,), backward, "narrow")
-
-
-def chunk(a, parts: int, axis: int = 1):
-    """Split evenly into ``parts`` tensors along ``axis``.
-
-    The parts share one zero-filled gradient map of ``a`` (see :func:`narrow`)
-    unless ``a`` is a leaf: a leaf has no backward of its own to end the
-    sharing, and its ``grad`` outlives the pass.
-    """
-    a = astensor(a)
-    n = a.shape[axis]
-    if n % parts:
-        raise ShapeError(f"cannot split axis of size {n} into {parts} equal chunks")
-    step = n // parts
-    shared = None if a.op == "leaf" else [None]
-    return [narrow(a, axis, i * step, step, shared) for i in range(parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +445,7 @@ def gelu_gate(y) -> Tensor:
     for the backward only when the node goes on the tape.  The backward
     writes both halves of one gradient map: g * b * (Phi(a) + a * pdf(a))
     and g * a * Phi(a).  In float64 every element runs the operations of
-    ``mul(gelu(a), b)`` over ``chunk`` in the same order, so the result
+    ``mul(gelu(a), b)`` over ``narrow`` halves in the same order, so the result
     and the input gradient are bit-identical to that composition.
     """
     y = astensor(y)
@@ -564,6 +534,85 @@ def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
         accumulate_grad(x, (g - data * (g * data).sum(axis=axis, keepdims=True)) / norm)
 
     return make_node(data, (x,), backward, "l2_normalize")
+
+
+# ---------------------------------------------------------------------------
+# channel attention
+# ---------------------------------------------------------------------------
+
+def _channel_attention_map(qkv: np.ndarray, heads: int, tau):
+    """Restormer's channel-attention map of (n, 3c, h, w) ``qkv``, per head.
+
+    Returns q, k and v, (n, heads, d, h*w) views of ``qkv``; their row
+    norms nq and nk, sqrt(sum(x^2) + 1e-12), (n, heads, d, 1); the cosine
+    Gram matrix S = (q @ k^T) / nq / nk^T; and the shift-stabilised
+    softmax A of S / tau along its rows, both (n, heads, d, d).  ``tau``
+    is an (n, heads) array or None (a temperature of 1).  The unit
+    vectors q / nq and k / nk are never built.
+    """
+    n, c3, hh, ww = qkv.shape
+    q, k, v = np.moveaxis(qkv.reshape(n, 3, heads, c3 // (3 * heads), hh * ww), 1, 0)
+    # the eps of l2_normalize: it keeps a zero row finite
+    nq = np.sqrt((q * q).sum(axis=-1, keepdims=True) + 1e-12)
+    nk = np.sqrt((k * k).sum(axis=-1, keepdims=True) + 1e-12)
+    s = q @ np.swapaxes(k, -1, -2)
+    s /= nq
+    s /= np.swapaxes(nk, -1, -2)
+    logits = s if tau is None else s / tau[:, :, None, None]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return q, k, v, nq, nk, s, e / e.sum(axis=-1, keepdims=True)
+
+
+def channel_attention(qkv, heads: int, tau=None) -> Tensor:
+    """Transposed (channel) attention, MDTA of Restormer: (n, 3c, h, w) -> (n, c, h, w), one node.
+
+    Channels [0, c), [c, 2c) and [2c, 3c) of ``qkv`` are q, k and v, each
+    split into ``heads`` heads of d = c / heads channels.  Per head, the
+    output is A @ v with A the row softmax of the cosine similarities of
+    the rows of q and k, divided by the temperature ``tau`` ((n, heads),
+    or None for 1); see :func:`_channel_attention_map`.  The closure keeps
+    only A, S, the norms and tau beside ``qkv``, all (n, heads, d, d) or
+    smaller.  The backward is closed-form through the softmax and both
+    normalisations, into one (n, 3, heads, d, h*w) gradient map of
+    ``qkv``; with gL the logits' gradient and gS = gL / tau,
+
+        gq = (gS / nk^T / nq) @ k - (rowsum(gS * S) / nq^2) * q
+        gk = (gS^T / nq^T / nk) @ q - (colsum(gS * S)^T / nk^2) * k
+        gv = A^T @ g,   gtau = -sum(gL * S / tau) / tau.
+    """
+    qkv = astensor(qkv)
+    if qkv.ndim != 4 or qkv.shape[1] % (3 * heads):
+        raise ShapeError(f"channel_attention: cannot split {qkv.shape} into q, k, v of {heads} heads")
+    n, c3, hh, ww = qkv.shape
+    parents, td = (qkv,), None
+    if tau is not None:
+        tau = astensor(tau)
+        if tau.shape != (n, heads):
+            raise ShapeError(f"channel_attention: tau {tau.shape} is not ({n}, {heads})")
+        parents, td = (qkv, tau), tau.data
+    q, k, v, nq, nk, s, a = _channel_attention_map(qkv.data, heads, td)
+    data = (a @ v).reshape(n, c3 // 3, hh, ww)
+
+    def backward(g):
+        g = g.reshape(v.shape)
+        gx = np.empty((n, 3) + v.shape[1:], v.dtype)
+        gq, gk, gv = np.moveaxis(gx, 1, 0)
+        np.matmul(np.swapaxes(a, -1, -2), g, out=gv)
+        ga = g @ np.swapaxes(v, -1, -2)
+        gl = ga - (ga * a).sum(axis=-1, keepdims=True)
+        gl *= a
+        gs = gl if td is None else gl / td[:, :, None, None]
+        gss = gs * s
+        np.matmul(gs / np.swapaxes(nk, -1, -2) / nq, k, out=gq)
+        gq -= gss.sum(axis=-1, keepdims=True) / (nq * nq) * q
+        np.matmul(np.swapaxes(gs, -1, -2) / np.swapaxes(nq, -1, -2) / nk, q, out=gk)
+        gk -= np.swapaxes(gss.sum(axis=-2, keepdims=True), -1, -2) / (nk * nk) * k
+        accumulate_grad(qkv, gx.reshape(qkv.shape))
+        if td is not None:
+            # logits = S / tau, so gL * logits / tau = gS * S / tau
+            accumulate_grad(tau, -gss.sum(axis=(-2, -1)) / td)
+
+    return make_node(data, parents, backward, "channel_attention")
 
 
 # ---------------------------------------------------------------------------

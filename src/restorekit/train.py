@@ -144,7 +144,7 @@ def _zero_views(store: ParamStore) -> dict[str, np.ndarray]:
 
 
 def adam_step(store: ParamStore, state: OptimizerState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> float:
     """One bias-corrected Adam update, in place on the store's parameters and moments.
 
     Per parameter, the textbook update: m = b1*m + (1-b1)*g, v = b2*v +
@@ -154,11 +154,16 @@ def adam_step(store: ParamStore, state: OptimizerState, lr: float,
     temporary is built and the working set stays in cache.  Each chunk
     runs the same operations in the same order as the whole-tensor form,
     so the result is bit-identical to it.
+
+    Returns the global L2 norm of the gradients: one dot product g . g
+    per chunk while the chunk is in cache, the chunks' sums added in
+    float64, so it costs no pass over the gradients of its own.
     """
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
     scratch = {}
+    sq = 0.0
     for name, p in store.items():
         if p.grad is None:
             raise UsageError(f"adam_step: parameter '{name}' has no gradient")
@@ -177,6 +182,7 @@ def adam_step(store: ParamStore, state: OptimizerState, lr: float,
             np.multiply(g, 1.0 - beta1, a)
             m += a
             v *= beta2
+            sq += float(np.dot(g, g))
             np.multiply(g, g, a)
             a *= 1.0 - beta2
             v += a
@@ -187,6 +193,7 @@ def adam_step(store: ParamStore, state: OptimizerState, lr: float,
             b /= a
             b *= lr
             x -= b
+    return math.sqrt(sq)
 
 
 @dataclass
@@ -233,7 +240,8 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
     step appears once.
 
     Each record holds the loss and its ``pixel_loss`` and ``fourier_loss``
-    parts, and the step's ``wall_ms`` split into ``fwd_ms`` (releasing the
+    parts, the gradients' global L2 norm ``grad_norm`` (before the update),
+    and the step's ``wall_ms`` split into ``fwd_ms`` (releasing the
     previous step's gradients, the forward and the loss), ``bwd_ms`` and
     ``optim_ms``.  A step holds the parameters, the two moments and its
     tape at its peak: the previous gradients are released before the
@@ -309,10 +317,10 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
         t2 = time.perf_counter()
         lr = cosine_lr(step, cfg.steps, cfg.lr0, cfg.lr_min)
         t3 = time.perf_counter()
-        adam_step(store, state, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        grad_norm = adam_step(store, state, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         t4 = time.perf_counter()
         record = {"step": step, "lr": lr, "loss": loss_val, "pixel_loss": parts["pixel"],
-                  "fourier_loss": parts["fourier"], "wall_ms": (t4 - t0) * 1000.0,
+                  "fourier_loss": parts["fourier"], "grad_norm": grad_norm, "wall_ms": (t4 - t0) * 1000.0,
                   "fwd_ms": (t1 - t0) * 1000.0, "bwd_ms": (t2 - t1) * 1000.0,
                   "optim_ms": (t4 - t3) * 1000.0}
         report.records.append(record)

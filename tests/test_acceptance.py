@@ -143,16 +143,10 @@ def test_criterion_04_attention_contracts():
     attn = GatedChannelAttention(store, "a", channels=8, heads=2, prompt_dim=6)
     x = Tensor(rng.normal(size=(3, 8, 6, 6)))
     prompt = Tensor(rng.normal(size=(3, 6)))
-    n, c, h, w = x.shape
-    d = c // attn.heads
     qkv = attn.qkv_dw(attn.qkv(x))
-    q, k, _ = ops.chunk(qkv, 3, axis=1)
-    q = ops.l2_normalize(ops.reshape(q, (n, attn.heads, d, h * w)), axis=-1)
-    k = ops.l2_normalize(ops.reshape(k, (n, attn.heads, d, h * w)), axis=-1)
-    logits = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2)))
     tau = attn.temperatures(prompt)
-    rows = ops.softmax(ops.div(logits, ops.reshape(tau, (n, attn.heads, 1, 1))),
-                       axis=-1).data.sum(axis=-1)
+    # the softmax map the network's channel_attention computes
+    rows = ops._channel_attention_map(qkv.data, attn.heads, tau.data)[-1].sum(axis=-1)
     if np.max(np.abs(rows - 1.0)) > 1e-6:
         failures.append(f"row sums off by {np.max(np.abs(rows - 1.0)):.2e}")
 

@@ -5,9 +5,9 @@ import pytest
 
 from restorekit import ops
 from restorekit.attention import GatedChannelAttention, GatedFeedForward, TransformerBlock
-from restorekit.errors import ConfigError
+from restorekit.errors import ConfigError, ShapeError
 from restorekit.params import ParamStore
-from restorekit.tensor import Tensor
+from restorekit.tensor import Tensor, no_grad
 
 
 def build_attn(c=8, heads=2, pd=6, seed=0, **kw):
@@ -16,19 +16,16 @@ def build_attn(c=8, heads=2, pd=6, seed=0, **kw):
     return store, attn
 
 
-def row_softmax_sums(attn, x, prompt):
-    """Recompute the internal attention map and return its row sums."""
-    n, c, h, w = x.shape
-    d = c // attn.heads
+def attention_map(attn, x, prompt):
+    """The network's own softmax map of ``attn`` on ``x``: (n, heads, d, d)."""
     qkv = attn.qkv_dw(attn.qkv(x))
-    q, k, _ = ops.chunk(qkv, 3, axis=1)
-    q = ops.l2_normalize(ops.reshape(q, (n, attn.heads, d, h * w)), axis=-1)
-    k = ops.l2_normalize(ops.reshape(k, (n, attn.heads, d, h * w)), axis=-1)
-    logits = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2)))
     tau = attn.temperatures(prompt)
-    if tau is not None:
-        logits = ops.div(logits, ops.reshape(tau, (n, attn.heads, 1, 1)))
-    return ops.softmax(logits, axis=-1).data.sum(axis=-1)
+    return ops._channel_attention_map(qkv.data, attn.heads, None if tau is None else tau.data)[-1]
+
+
+def row_softmax_sums(attn, x, prompt):
+    """The internal attention map's row sums."""
+    return attention_map(attn, x, prompt).sum(axis=-1)
 
 
 def test_temperature_is_exactly_one_at_zero_parameters(rng):
@@ -79,16 +76,7 @@ def test_entropy_nondecreasing_in_temperature(rng):
         ents = []
         for tau in [0.25, 0.5, 1.0, 2.0, 4.0]:
             attn.theta_base.data[:] = np.log(tau)
-            n, c, h, w = x.shape
-            d = c // attn.heads
-            qkv = attn.qkv_dw(attn.qkv(x))
-            q, k, _ = ops.chunk(qkv, 3, axis=1)
-            q = ops.l2_normalize(ops.reshape(q, (n, attn.heads, d, h * w)), axis=-1)
-            k = ops.l2_normalize(ops.reshape(k, (n, attn.heads, d, h * w)), axis=-1)
-            logits = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2)))
-            t = attn.temperatures(prompt)
-            logits = ops.div(logits, ops.reshape(t, (n, attn.heads, 1, 1)))
-            p = ops.softmax(logits, axis=-1).data
+            p = attention_map(attn, x, prompt)
             ents.append(float(-(p * np.log(p + 1e-300)).sum()))
         assert np.all(np.diff(ents) >= -1e-9), ents
 
@@ -193,3 +181,95 @@ def test_block_output_changes_with_prompt(rng):
     y1 = blk(x, Tensor(np.zeros((1, 6))))
     y2 = blk(x, Tensor(np.full((1, 6), 2.0)))
     assert np.max(np.abs(y1.data - y2.data)) > 1e-8
+
+
+# -- the channel-attention op ----------------------------------------------------
+
+def attention_by_parts(qkv, heads, tau):
+    """The core as the network built it before channel_attention: 15 nodes."""
+    n, c3, h, w = qkv.shape
+    c = c3 // 3
+    d = c // heads
+    q, k, v = (ops.reshape(ops.narrow(qkv, 1, i * c, c), (n, heads, d, h * w)) for i in range(3))
+    q = ops.l2_normalize(q, axis=-1)
+    k = ops.l2_normalize(k, axis=-1)
+    logits = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2)))
+    if tau is not None:
+        logits = ops.div(logits, ops.reshape(tau, (n, heads, 1, 1)))
+    return ops.reshape(ops.matmul(ops.softmax(logits, axis=-1), v), (n, c, h, w))
+
+
+def attention_value_and_grads(core, qkv, heads, tau, g):
+    """Output, qkv gradient and tau gradient (None without tau); both inputs are tape nodes."""
+    ql = Tensor(qkv, requires_grad=True)
+    tl = None if tau is None else Tensor(tau, requires_grad=True)
+    out = core(ops.mul(ql, 1.0), heads, None if tl is None else ops.mul(tl, 1.0))
+    out.backward(g)
+    return out.data, ql.grad, None if tl is None else tl.grad
+
+
+def rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+# (n, heads, d, h, w, with tau)
+ATTENTION_CASES = {
+    "n1-h1": (1, 1, 4, 5, 7, True),
+    "n3-h2": (3, 2, 3, 4, 6, True),
+    "n1-h3-no-tau": (1, 3, 2, 6, 4, False),
+    "n3-h2-no-tau": (3, 2, 4, 3, 5, False),
+}
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)], ids=["f64", "f32"])
+@pytest.mark.parametrize("case", list(ATTENTION_CASES.values()), ids=list(ATTENTION_CASES))
+def test_channel_attention_matches_the_composition(rng, case, dtype, tol):
+    n, heads, d, h, w, with_tau = case
+    qkv = rng.normal(size=(n, 3 * heads * d, h, w)).astype(dtype)
+    tau = rng.uniform(0.3, 3.0, size=(n, heads)).astype(dtype) if with_tau else None
+    g = rng.normal(size=(n, heads * d, h, w)).astype(dtype)
+    got = attention_value_and_grads(ops.channel_attention, qkv, heads, tau, g)
+    want = attention_value_and_grads(attention_by_parts, qkv, heads, tau, g)
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == dtype
+        assert rel(a, b) < tol
+
+
+def test_channel_attention_records_no_closure_under_no_grad(rng):
+    qkv = Tensor(rng.normal(size=(2, 12, 3, 3)), requires_grad=True)
+    tau = Tensor(rng.uniform(0.5, 2.0, size=(2, 2)), requires_grad=True)
+    with no_grad():
+        out = ops.channel_attention(qkv, 2, tau)
+    assert out._backward is None and out._parents == () and not out.requires_grad
+    assert out.shape == (2, 4, 3, 3)
+
+
+def test_channel_attention_refuses_shapes_it_cannot_split(rng):
+    with pytest.raises(ShapeError):
+        ops.channel_attention(Tensor(rng.normal(size=(1, 10, 2, 2))), 2)
+    with pytest.raises(ShapeError):
+        ops.channel_attention(Tensor(rng.normal(size=(1, 12, 2, 2))), 2, Tensor(np.ones((1, 3))))
+
+
+def tape_nodes(out):
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t.op != "leaf":
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def test_block_forward_records_14_nodes_fewer_than_the_composition(rng):
+    # 42 with the core built from 15 nodes (narrow x3, reshape x5,
+    # l2_normalize x2, transpose, matmul x2, div, softmax); one node now
+    store = ParamStore(seed=0, dtype=np.float32)
+    blk = TransformerBlock(store, "b", 8, 2, 6)
+    y = blk(Tensor(rng.normal(size=(2, 8, 5, 5)).astype(np.float32)),
+            Tensor(rng.normal(size=(2, 6)).astype(np.float32)))
+    assert tape_nodes(y) == 42 - 14
+    assert y.dtype == np.float32

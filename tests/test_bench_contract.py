@@ -1,0 +1,44 @@
+"""What the benchmark under perfbench/ needs of the package's op surface.
+
+``spans.Tracer`` wraps every op it names with ``getattr(ops, name)``, and
+``checks.FirstConvCalls`` calls ``ops.conv2d(x, weight, bias, stride,
+padding, groups)`` positionally; an op removed or a parameter dropped
+crashes every benchmark run.  Both must also leave ``ops`` as they found it.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from restorekit import ops
+from restorekit.model import RestorationModel, tiny_config
+from restorekit.tensor import Tensor
+
+
+def test_tracer_and_conv_capture_run_and_restore_ops(monkeypatch, rng):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import checks
+    import spans
+
+    before = dict(vars(ops))
+    model = RestorationModel(tiny_config(seed=0))
+    x = rng.uniform(0.1, 0.9, size=(1, 3, 16, 16)).astype(np.float32)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.per_op = True
+        ops.tmean(ops.square(model.forward(x))).backward()
+    finally:
+        tracer.uninstall()
+    assert tracer.nodes > 0
+    assert tracer.calls["conv2d.1x1"] > 0 and tracer.bwd["attention"] > 0
+
+    calls = checks.FirstConvCalls()
+    with calls.capture():
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+        ops.conv2d(Tensor(x), w)
+    assert list(calls.calls) == ["conv2d.3x3"]
+
+    after = dict(vars(ops))
+    assert after.keys() == before.keys()
+    assert all(after[name] is before[name] for name in before)

@@ -42,8 +42,9 @@ def test_gelu_matches_high_precision_reference():
 
 
 def gate_by_parts(y):
-    """The gelu gate as the network built it before gelu_gate: chunk, gelu, mul."""
-    a, b = ops.chunk(y, 2, axis=1)
+    """The gelu gate as the network built it before gelu_gate: split, gelu, mul."""
+    h = y.shape[1] // 2
+    a, b = ops.narrow(y, 1, 0, h), ops.narrow(y, 1, h, h)
     return ops.mul(ops.gelu(a), b)
 
 
@@ -402,66 +403,9 @@ def test_mean_std_matches_scalar_accumulation_oracle(rng):
 
 def test_concat_chunk_roundtrip(rng):
     x = rng.normal(size=(2, 6, 3, 3))
-    parts = ops.chunk(Tensor(x), 3, axis=1)
+    parts = [ops.narrow(Tensor(x), 1, 2 * i, 2) for i in range(3)]
     back = ops.concat(parts, axis=1)
     np.testing.assert_array_equal(back.data, x)
-    with pytest.raises(ShapeError):
-        ops.chunk(Tensor(x), 4, axis=1)
-
-
-# Losses over the three parts of a (2, 6, 3, 3) map split along channels:
-# (parts, parent, weights) -> scalar.  The parent is a tape node, as every
-# chunked map in the network is.
-CHUNK_LOSSES = {
-    "all parts": lambda ps, a, w: ops.add(ops.add(ops.tsum(ops.mul(ps[0], w[0])), ops.tsum(ops.mul(ps[1], w[1]))),
-                                          ops.tsum(ops.mul(ps[2], w[2]))),
-    "middle unused": lambda ps, a, w: ops.add(ops.tsum(ops.mul(ps[0], w[0])), ops.tsum(ops.mul(ps[2], w[2]))),
-    "second consumer first": lambda ps, a, w: ops.add(ops.tsum(ops.mul(a, w[3])),
-                                                      ops.add(ops.tsum(ops.mul(ps[0], w[0])),
-                                                              ops.tsum(ops.mul(ps[2], w[2])))),
-    "second consumer last": lambda ps, a, w: ops.add(ops.add(ops.tsum(ops.mul(ps[0], w[0])),
-                                                             ops.tsum(ops.mul(ps[2], w[2]))),
-                                                     ops.tsum(ops.mul(a, w[3]))),
-    "part used twice": lambda ps, a, w: ops.add(ops.tsum(ops.mul(ps[1], ps[1])),
-                                                ops.add(ops.tsum(ops.mul(ps[1], w[1])), ops.tsum(ops.mul(ps[0], w[0])))),
-}
-
-
-def chunk_loss_grad(x, w, loss, split):
-    leaf = Tensor(x, requires_grad=True)
-    parent = ops.reshape(leaf, x.shape)
-    loss(split(parent), parent, w).backward()
-    return leaf.grad
-
-
-@pytest.mark.parametrize("case", list(CHUNK_LOSSES))
-def test_chunk_gradient_equals_a_narrow_per_part(rng, case):
-    x = rng.normal(size=(2, 6, 3, 3)).astype(np.float32)
-    w = [rng.normal(size=(2, 2, 3, 3)).astype(np.float32) for _ in range(3)]
-    w.append(rng.normal(size=x.shape).astype(np.float32))
-    got = chunk_loss_grad(x, w, CHUNK_LOSSES[case], lambda a: ops.chunk(a, 3, axis=1))
-    want = chunk_loss_grad(x, w, CHUNK_LOSSES[case], lambda a: [ops.narrow(a, 1, 2 * i, 2) for i in range(3)])
-    assert got.dtype == np.float32
-    assert np.array_equal(got, want)
-    if case == "middle unused":
-        assert not np.any(got[:, 2:4])
-
-
-def test_chunk_parts_share_one_gradient_map(rng, monkeypatch):
-    x = rng.normal(size=(2, 6, 3, 3))
-    w = [rng.normal(size=(2, 2, 3, 3)) for _ in range(3)]
-    leaf = Tensor(x, requires_grad=True)
-    loss = CHUNK_LOSSES["all parts"](ops.chunk(ops.reshape(leaf, x.shape), 3, axis=1), None, w)
-    made = []
-    real = np.zeros_like
-
-    def counted(a, *args, **kwargs):
-        made.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(ops.np, "zeros_like", counted)
-    loss.backward()
-    assert made == [x.shape]
 
 
 def test_pixel_unshuffle_enumerated_mapping():

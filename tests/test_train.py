@@ -165,6 +165,21 @@ def test_chunked_adam_is_bit_identical_to_the_whole_tensor_form(rng, dtype):
         assert np.array_equal(state.v[name], v[name]), name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_adam_step_returns_the_global_gradient_norm(rng, dtype):
+    chunk = train.ADAM_CHUNK
+    store = ParamStore(seed=0, dtype=dtype)
+    for name, shape in {"one": (1,), "above": (chunk + 1,), "several": (3 * chunk + 5,),
+                        "conv": (6, 1, 3, 3)}.items():
+        store.param(name, shape, init="fan_in", fan_in=9)
+    for p in store.tensors():
+        p.grad = (10.0 * rng.normal(size=p.data.shape)).astype(dtype)
+    want = np.linalg.norm(np.concatenate([p.grad.ravel() for p in store.tensors()]).astype(np.float64))
+    got = adam_step(store, OptimizerState(store), lr=1e-3)
+    # per-chunk dot products in the gradients' dtype, added in float64
+    assert got == pytest.approx(want, rel=16 * np.finfo(dtype).eps)
+
+
 def test_adam_updates_loaded_moments_that_are_not_contiguous(rng):
     # adam_step writes through flat views; a transposed moment must not turn
     # them into copies that drop the update
@@ -258,6 +273,7 @@ def test_step_log_splits_the_step_time(tmp_path):
         assert sum(parts) <= rec["wall_ms"]
         assert rec["pixel_loss"] > 0 and rec["fourier_loss"] > 0
         assert rec["pixel_loss"] + rec["fourier_loss"] == pytest.approx(rec["loss"], rel=1e-12)
+        assert np.isfinite(rec["grad_norm"]) and rec["grad_norm"] > 0
 
 
 def test_train_loop_releases_gradients_before_each_forward(monkeypatch):
