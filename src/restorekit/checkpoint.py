@@ -21,6 +21,13 @@ replaces ``<stem>.bin``, then the manifest replaces ``<stem>.json`` the same
 way, so the manifest is the commit point.  The manifest carries the CRC-32
 of the payload, and a load whose payload does not match it raises, so a
 save that died between the two files never loads as a mixed pair.
+
+A replaced file is held open across the rename and closed on a thread of
+its own, because the filesystem's release of a replaced file blocked the
+thread that dropped it for 100-250 ms per file at about 12 ms of CPU
+(ext4, 2 vCPU; a 315 MB payload and a manifest alike).  The rename is
+the same, so atomicity and the commit order are unchanged.  A save that
+fails removes its temp file.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import zlib
 from pathlib import Path
 
@@ -48,12 +56,30 @@ def _stem(path) -> Path:
 
 
 def _replace_with(path: Path, chunks):
-    """Write ``chunks`` to a sibling temp file, then move it onto ``path``."""
+    """Write ``chunks`` to a sibling temp file, then move it onto ``path``.
+
+    The old ``path`` is closed on its own thread (see the module note); a
+    failed write or rename removes the temp file and closes the old one
+    at once.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-    os.replace(tmp, path)
+    old = None
+    try:
+        with tmp.open("wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        try:
+            old = os.open(path, os.O_RDONLY)
+        except OSError:
+            pass
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        if old is not None:
+            os.close(old)
+        raise
+    if old is not None:
+        threading.Thread(target=os.close, args=(old,)).start()
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict,
@@ -84,7 +110,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config: dict,
         "payload_crc32": crc,
         "tensors": entries,
     }
-    _replace_with(stem.with_suffix(".json"), [json.dumps(manifest, indent=1).encode()])
+    _replace_with(stem.with_suffix(".json"), [json.dumps(manifest).encode()])
     return stem
 
 

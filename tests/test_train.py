@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 import weakref
 
 import numpy as np
@@ -469,11 +470,76 @@ def test_checkpoint_rejects_payload_with_wrong_checksum(tmp_path, rng):
         load_checkpoint(stem)
 
 
+def _join_other_threads():
+    for t in threading.enumerate():
+        if t is not threading.main_thread():
+            t.join(timeout=5)
+            assert not t.is_alive(), t
+
+
+def _open_fd_count():
+    """Entries in /proc/self/fd, or None where the platform has no such directory."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def test_a_save_over_a_checkpoint_leaves_only_the_new_pair(tmp_path, rng):
+    save_checkpoint(tmp_path / "ck", {"a": rng.normal(size=(64, 64))}, {}, {"step": 1})
+    second = {"a": rng.normal(size=(3,)).astype(np.float32), "b": np.arange(5.0)}
+    stem = save_checkpoint(tmp_path / "ck", second, {}, {"step": 2})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin", "ck.json"]
+    manifest, back = load_checkpoint(stem)
+    assert manifest["train_state"] == {"step": 2}
+    for name, arr in second.items():
+        assert back[name].dtype == arr.dtype and back[name].tobytes() == arr.tobytes()
+
+
+def test_a_save_succeeds_when_the_old_file_cannot_be_opened(tmp_path, monkeypatch):
+    # monkeypatched: run as root, a chmod would not stop the open
+    save_checkpoint(tmp_path / "ck", {"a": np.zeros(4)}, {}, {"step": 1})
+    refused = []
+
+    def refuse(path, *args, **kwargs):
+        refused.append(path)
+        raise PermissionError(path)
+
+    monkeypatch.setattr(os, "open", refuse)
+    stem = save_checkpoint(tmp_path / "ck", {"a": np.ones(4)}, {}, {"step": 2})
+    monkeypatch.undo()
+    assert len(refused) == 2  # the old payload, then the old manifest
+    manifest, back = load_checkpoint(stem)
+    assert manifest["train_state"] == {"step": 2}
+    np.testing.assert_array_equal(back["a"], np.ones(4))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin", "ck.json"]
+
+
+def test_the_threads_a_save_starts_finish_and_release_the_old_files(tmp_path, monkeypatch):
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    save_checkpoint(tmp_path / "ck", {"a": np.zeros(4)}, {})
+    _join_other_threads()
+    fds = _open_fd_count()
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    save_checkpoint(tmp_path / "ck", {"a": np.ones(8)}, {})
+    monkeypatch.undo()
+    assert len(started) == 2  # one per replaced file
+    for t in started:
+        assert not t.daemon
+    _join_other_threads()
+    assert _open_fd_count() == fds
+
+
 @pytest.mark.parametrize("fail_on", [".bin", ".json"])
 def test_interrupted_save_never_loads_a_mixed_pair(tmp_path, monkeypatch, fail_on):
     first = {"a": np.arange(6.0), "b": np.ones(3, dtype=np.float32)}
     second = {"a": np.arange(6.0) + 1.0, "b": np.zeros(3, dtype=np.float32)}
     stem = save_checkpoint(tmp_path / "ck", first, {}, {"step": 1})
+    _join_other_threads()
+    fds = _open_fd_count()
     real_replace = os.replace
 
     def crash(src, dst):
@@ -485,6 +551,9 @@ def test_interrupted_save_never_loads_a_mixed_pair(tmp_path, monkeypatch, fail_o
     with pytest.raises(OSError, match="simulated"):
         save_checkpoint(stem, second, {}, {"step": 2})
     monkeypatch.undo()
+    assert not list(tmp_path.glob("*.tmp"))
+    _join_other_threads()
+    assert _open_fd_count() == fds
     # same sizes, so only the checksum can tell the pair apart
     try:
         manifest, back = load_checkpoint(stem)
