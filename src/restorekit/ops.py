@@ -11,24 +11,31 @@ Conventions:
     odd square kernel, zero padding k//2, output the size of the input, and
     input, weight and bias of one dtype; these are the only calls the
     network makes, and conv2d refuses any other.  It is either dense
-    (groups=1) or depthwise (groups = c_in = c_out).  One loop over the
-    kernel taps, _tap_sum, serves the forward and the input gradient: the
+    (groups=1) or depthwise (groups = c_in = c_out).  One column-matrix
+    walk, _walk (im2col, Chellapilla et al. 2006), serves every kind and
+    all three passes.  The forward is the weight, as rows of (groups,
+    c_out/groups, c_in/groups * k*k), times the input's column matrix.  The
     input gradient of a "same" correlation is the same correlation of the
-    output gradient with the kernel flipped in space and, dense, transposed
-    in/out.  The dense weight gradient has its own loop, _weight_grad.  The
-    depthwise backward is one block loop, _depthwise_backward: it builds
-    the output gradient's column matrix once, for _tap_sum's input-gradient
-    matmul and for the weight gradient.  Depthwise convs walk one channel
-    block at a time, each block's scratch about DW_BLOCK_BYTES so that it
-    stays in L2.  Padding is block-local: each
-    block is zero-padded into a reused scratch, its k*k shifted runs are
-    copied into a column matrix (im2col), one matmul sums the taps, and the
-    cropped sum, plus the bias, is written straight into the output, so no
-    padded copy of a whole map is made.  The taps are summed in BLAS order,
-    not tap by tap, but each channel's sum is the same call whatever block
-    it falls in, so the result does not depend on the block size and
-    reruns are bit-identical.  The network downsamples with
-    pixel_unshuffle, never a stride.
+    output gradient with the taps flipped in space and transposed in/out
+    within each group, so it is the same walk on the output gradient, and
+    that walk's column matrix times the input, summed over the batch, is
+    the weight gradient.  The walk takes one block of source channels at a
+    time, whole depthwise channels or a chunk of a dense conv's input
+    channels whose partial sums accumulate, each block's scratch about
+    DW_BLOCK_BYTES so that it stays in L2.  Padding is block-local: each
+    block is zero-padded into a reused scratch, flattened so that output
+    rows are computed at the padded width w + 2*(k//2) (the k-1 columns
+    that wrap into the next row are cropped; one extra zero row keeps the
+    last tap's run in bounds), its k*k shifted runs are copied into a
+    column matrix, one matmul sums the taps, and the cropped sum, plus the
+    bias, is written straight into the output.  A 1x1 reads the map itself
+    as its column matrix.  No column matrix of a whole map is made, and no
+    padded copy of one but the dense backward's copy of the conv's input at
+    the padded width.  The taps are summed in BLAS order, not tap by tap,
+    but each depthwise channel's sum is the same call whatever block it
+    falls in, so its result does not depend on the block size, and reruns
+    are bit-identical.  The network downsamples with pixel_unshuffle, never
+    a stride.
   - Ops keep the dtype of their tensor operands: a float32 graph computes
     and differentiates in float32, a float64 graph in float64.  A Python
     or numpy scalar passed to add, sub, mul or div adopts the dtype of the
@@ -68,12 +75,14 @@ _AS_HALF_A = tuple(0.5 * a for a in (0.254829592, -0.284496736, 1.421413741, -1.
 # a full-preset 64x64 restore (float32) 32 K took about 59 ms, 64 K 60,
 # 16 K 68 and 8 K 116.
 GELU_CHUNK = 32 * 1024
-# Scratch bytes of one depthwise channel block: the tap sum's column matrix,
-# or the backward's padded output gradient, column matrix, matmul output and
-# input at the padded width.  Over the network's call lists (float32, one
-# BLAS thread) 1 MB was fastest for both.  The tap sum took 35-43 % longer
-# at 256 KB, 5-25 % at 512 KB and 3-17 % at 2 MB; the backward 33-36 %,
-# 4-15 % and 2-10 %.
+# Scratch bytes of one block of a conv's source channels (see _walk): the
+# forward's column matrix, or the backward's padded output gradient, column
+# matrix, matmul output and input at the padded width, per channel.  It
+# sizes depthwise blocks and dense input-channel chunks alike, but was tuned
+# on depthwise calls only: over the network's call lists (float32, one BLAS
+# thread) 1 MB was fastest for both passes.  The forward took 35-43 %
+# longer at 256 KB, 5-25 % at 512 KB and 3-17 % at 2 MB; the backward
+# 33-36 %, 4-15 % and 2-10 %.
 DW_BLOCK_BYTES = 1024 * 1024
 
 
@@ -619,118 +628,18 @@ def channel_attention(qkv, heads: int, tau=None) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _flat_padded(xd: np.ndarray, k: int):
-    """Zero-pad the spatial axes of NCHW ``xd`` by k//2 and flatten them to one axis.
-
-    Returns the (n, c, plane) array; with ``wp`` the padded width, kernel tap
-    (u, v) then reads the contiguous run ``[u*wp + v, u*wp + v + h*wp)`` of
-    every channel: output rows are computed at the padded width, and their
-    last k-1 columns, which wrap into the next row, are cropped.  For k > 1
-    one extra zero row at the bottom keeps the last tap's run in bounds.
-    Only the dense path pads a whole map; depthwise pads one block at a time
-    (:func:`_pad_block`).
-    """
-    if k > 1:
-        p = k // 2
-        xd = np.pad(xd, ((0, 0), (0, 0), (p, p + 1), (p, p)))
-    return xd.reshape(xd.shape[0], xd.shape[1], -1)
-
-
-def _depthwise_blocks(c: int, channel_bytes: int):
-    """Channel slices covering c channels, and the widest one's width.
-
-    ``channel_bytes`` is the scratch one channel of a block holds.  Each
-    block takes as many channels (at least one) as keep its scratch near
-    DW_BLOCK_BYTES, so the scratch, allocated once at the widest block's
-    width, stays in L2 while the block is worked on.
-    """
-    step = min(c, max(1, DW_BLOCK_BYTES // channel_bytes))
-    return step, [slice(c0, min(c0 + step, c)) for c0 in range(0, c, step)]
-
-
 def _pad_block(buf: np.ndarray, src: np.ndarray, top: int, left: int):
     """Copy NCHW ``src`` into the zero-bordered scratch ``buf`` at (top, left).
 
     ``buf`` is (n, step, H, W) with step >= src's channels and is zeroed
     once when allocated; only this interior is ever written, so the borders
     stay zero from block to block.  Returns the filled channels flattened to
-    (n, c, H*W), the layout the tap loop reads.
+    (n, c, H*W), the layout :func:`_im2col` reads.
     """
     n, c, h, w = src.shape
     blk = buf[:, :c]
     blk[:, :, top:top + h, left:left + w] = src
     return blk.reshape(n, c, -1)
-
-
-def _crop_bias(acc: np.ndarray, ow: int, bias, out: np.ndarray):
-    """Write the first ``ow`` columns of ``acc``, plus the per-channel bias, into ``out``."""
-    if bias is None:
-        np.copyto(out, acc[..., :ow])
-    else:
-        np.add(acc[..., :ow], bias[:, None, None], out=out)
-
-
-def _tap_sum(xd, taps, bias, depthwise):
-    """"Same" correlation of NCHW ``xd`` with ``taps`` (k, k, c_out, c_in/groups), plus bias.
-
-    The sum over the taps of the shifted, k//2-padded input times that tap.
-    ``taps`` may be a strided view: the forward passes the weight's taps,
-    the input gradient the output gradient and the flipped taps (module
-    docstring).  Dense: one batched matmul per tap over the padded map; a
-    1x1 conv adds its bias in place on the matmul output.  Depthwise: one
-    channel block at a time (:func:`_depthwise_blocks`, sized by its column
-    matrix), the block is zero-padded into a reused scratch and its k*k
-    shifted runs are copied into a reused (n, cb, k*k, run) column matrix;
-    one matmul of each channel's (1, k*k) taps with it sums the taps, and
-    the cropped sum plus bias is written straight into the output.  Over
-    the network's depthwise calls this took 0.55 of the per-tap multiply
-    and add loop's time at 32 px and 0.7 at 64 px.  The sum runs in BLAS
-    order, one matrix-vector product per image and channel whatever the
-    block, so the result does not depend on the block size.
-    """
-    n, _, h, w = xd.shape
-    k, _, cout, _ = taps.shape
-    p = k // 2
-    wp = w + 2 * p
-    run = h * wp
-    if not depthwise:
-        xf = _flat_padded(xd, k)
-        acc = taps[0, 0] @ xf[:, :, :run]
-        for u in range(k):
-            for v in range(k):
-                if u or v:
-                    acc += taps[u, v] @ xf[:, :, u * wp + v:u * wp + v + run]
-        acc = acc.reshape(n, cout, h, wp)
-        if k == 1:
-            if bias is not None:
-                acc += bias[:, None, None]
-            return acc
-        out = np.empty((n, cout, h, w), xd.dtype)
-        _crop_bias(acc, w, bias, out)
-        return out
-    out = np.empty((n, cout, h, w), xd.dtype)
-    step, blocks = _depthwise_blocks(cout, n * k * k * run * xd.dtype.itemsize)
-    tk = _depthwise_rows(taps)
-    xbuf = np.zeros((n, step, h + 2 * p + int(k > 1), wp), xd.dtype)
-    colbuf = np.empty((n, step, k * k, run), xd.dtype)
-    accbuf = np.empty((n, step, 1, run), xd.dtype)
-    for blk in blocks:
-        cb = blk.stop - blk.start
-        cols, acc = colbuf[:, :cb], accbuf[:, :cb]
-        _im2col(cols, _pad_block(xbuf, xd[:, blk], p, p), k, wp, run)
-        np.matmul(tk[blk], cols, out=acc)
-        _crop_bias(acc.reshape(n, cb, h, wp), w, None if bias is None else bias[blk], out[:, blk])
-    return out
-
-
-def _depthwise_rows(taps):
-    """Depthwise ``taps`` (k, k, c, 1) as (c, 1, k*k) rows, one per channel.
-
-    Row u*k + v of a channel's (k*k, run) column matrix is tap (u, v)'s run,
-    so one matmul of the rows with the column matrix sums the taps.
-    """
-    k, _, c, _ = taps.shape
-    return np.ascontiguousarray(taps[:, :, :, 0].reshape(k * k, c).T)[:, None, :]
 
 
 def _im2col(cols, xf, k: int, wp: int, run: int):
@@ -740,70 +649,87 @@ def _im2col(cols, xf, k: int, wp: int, run: int):
             cols[:, :, u * k + v] = xf[:, :, u * wp + v:u * wp + v + run]
 
 
-def _depthwise_backward(xd, g, wd):
-    """Input and weight gradient of a depthwise "same" correlation, one block loop.
+def _walk(src, rows, k: int, bias=None, x=None):
+    """"Same" correlation of NCHW ``src`` with the grouped weight ``rows``, plus bias.
 
-    Each channel block is sized by all the scratch the loop holds per
-    channel.  The block's output gradient is padded once and its k*k
-    shifted runs are copied into a column matrix, as in :func:`_tap_sum`.
-    The input gradient is the flipped taps times that matrix, the same
-    matmul as ``_tap_sum(g, flipped, None, True)``, so it is bit-identical
-    to it.  The block's input is copied at the padded width into a
-    zero-bordered scratch, so its k-1 wrapped columns are 0.  The column
-    matrix times that run, summed over the batch, is the weight gradient
-    with its taps reversed: row u*k + v pairs g shifted by (u - p, v - p)
-    with x, which is tap (k-1-u, k-1-v).  Its sum runs in BLAS order, one
-    matrix-vector product per image and channel whatever the block.
+    ``rows`` is (groups, m, c/groups * k*k): per group, each of its m output
+    channels is one row over the group's c/groups source channels and k*k
+    taps, channel j's tap (u, v) at column j*k*k + u*k + v.  The walk goes
+    one block of source channels at a time: a run of whole groups
+    (depthwise) or a run of the one group's channels (dense), as many, at
+    least one, as keep the block's scratch near DW_BLOCK_BYTES.  The block
+    is zero-padded into a reused scratch, with the wrapped-row layout of the
+    module docstring, its k*k shifted runs per channel are copied into a
+    reused column matrix, and one matmul with the block's columns of
+    ``rows`` sums its taps at the padded width.  The cropped sum is written
+    into the output with the bias or, for a dense group's later blocks,
+    added to it.  A 1x1 is one block whose column matrix is ``src`` itself.
+
+    With ``x``, the conv's input, ``src`` is the output gradient and
+    ``rows`` the flipped, transposed taps, and the walk also returns the
+    weight gradient, (groups, c/groups * k*k, x's c/groups).  Each block's
+    column matrix times its groups' x at the padded width, whose k-1
+    wrapped columns are zero, summed over the batch: row j*k*k + u*k + v
+    pairs source channel j shifted by (u - k//2, v - k//2) with x, so the
+    taps come out reversed.  Each depthwise channel's sums are the same
+    BLAS calls whatever block it falls in, so its results do not depend on
+    the block size.
     """
-    n, c, h, w = xd.shape
-    k = wd.shape[-1]
-    p = k // 2
+    n, c, h, w = src.shape
+    groups, m, _ = rows.shape
+    cpg, kk, p = c // groups, k * k, k // 2
     wp = w + 2 * p
     run = h * wp
-    rows = h + 2 * p + int(k > 1)
-    dt = xd.dtype
-    # padded gradient, column matrix, matmul output and input at padded width
-    step, blocks = _depthwise_blocks(c, n * (rows * wp + (k * k + 2) * run) * dt.itemsize)
-    tk = _depthwise_rows(wd.transpose(2, 3, 0, 1)[::-1, ::-1])
-    gx = np.empty((n, c, h, w), dt)
-    gw = np.empty((c, k * k), dt)
-    gbuf = np.zeros((n, step, rows, wp), dt)
-    xbuf = np.zeros((n, step, h, wp), dt)
-    colbuf = np.empty((n, step, k * k, run), dt)
-    accbuf = np.empty((n, step, 1, run), dt)
-    for blk in blocks:
-        cb = blk.stop - blk.start
-        cols, acc = colbuf[:, :cb], accbuf[:, :cb]
-        _im2col(cols, _pad_block(gbuf, g[:, blk], p, p), k, wp, run)
-        np.matmul(tk[blk], cols, out=acc)
-        _crop_bias(acc.reshape(n, cb, h, wp), w, None, gx[:, blk])
-        xw = _pad_block(xbuf, xd[:, blk], 0, 0)
-        gw[blk] = np.matmul(cols, xw[..., None]).sum(axis=0)[..., 0]
-    return gx, np.ascontiguousarray(gw[:, ::-1]).reshape(c, 1, k, k)
-
-
-def _weight_grad(xd, g, k):
-    """Weight gradient of a dense "same" correlation, walking the forward's taps.
-
-    The output gradient is read at the padded width, with zeros in the k-1
-    wrapped columns so they add nothing; per tap, one batched matmul summed
-    over the batch.  The depthwise weight gradient comes from
-    :func:`_depthwise_backward`.
-    """
-    n, cin, h, w = xd.shape
-    cout = g.shape[1]
-    wp = w + 2 * (k // 2)
-    run = h * wp
-    xf = _flat_padded(xd, k)
+    dt = src.dtype
+    out = np.empty((n, groups * m, h, w), dt)
+    if x is None:
+        channel = kk * run  # the column matrix
+    else:
+        xpg = x.shape[1] // groups
+        gw = np.empty((groups, cpg * kk, xpg), dt)
+        # padded source, column matrix, matmul output and input at the padded width
+        channel = (h + 2 * p + 1) * wp + (kk + 2) * run
+    step = c if k == 1 else min(c, max(1, DW_BLOCK_BYTES // (n * channel * dt.itemsize)))
     if k > 1:
-        g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - w)))
-    gf = g.reshape(n, cout, run)
-    gtaps = np.empty((k, k, cout, cin), xd.dtype)
-    for u in range(k):
-        for v in range(k):
-            tap = xf[:, :, u * wp + v:u * wp + v + run]
-            gtaps[u, v] = (gf @ tap.transpose(0, 2, 1)).sum(axis=0)
-    return np.ascontiguousarray(gtaps.transpose(2, 3, 0, 1))
+        gstep = -(-step // cpg)
+        sbuf = np.zeros((n, step, h + 2 * p + 1, wp), dt)
+        if x is not None:
+            xbuf = np.zeros((n, gstep * xpg, h, wp), dt)
+        colbuf = np.empty((n, step, kk, run), dt)
+        accbuf = np.empty((n, gstep, m, run), dt)
+    for c0 in range(0, c, step):
+        cb = min(step, c - c0)
+        # groups g0..g0+gb, channels j0..j0+jb of each (one of gb, jb is 1)
+        g0, j0 = divmod(c0, cpg)
+        gb, jb = -(-cb // cpg), min(cb, cpg)
+        r = rows[g0:g0 + gb, :, j0 * kk:(j0 + jb) * kk]
+        if k == 1:
+            cols = src.reshape(n, groups, cpg, run)
+            np.matmul(r, cols, out=out.reshape(n, groups, m, run))
+            if bias is not None:
+                out += bias[:, None, None]
+        else:
+            cols = colbuf[:, :cb]
+            _im2col(cols, _pad_block(sbuf, src[:, c0:c0 + cb], p, p), k, wp, run)
+            cols = cols.reshape(n, gb, jb * kk, run)
+            acc = accbuf[:, :gb]
+            np.matmul(r, cols, out=acc)
+            crop = acc.reshape(n, gb * m, h, wp)[..., :w]
+            o = out[:, g0 * m:(g0 + gb) * m]
+            if j0:
+                o += crop
+            elif bias is None:
+                np.copyto(o, crop)
+            else:
+                np.add(crop, bias[g0 * m:(g0 + gb) * m, None, None], out=o)
+        if x is not None:
+            if not j0:
+                xg = x[:, g0 * xpg:(g0 + gb) * xpg]
+                xw = xg if k == 1 else _pad_block(xbuf, xg, 0, 0)
+                # one x channel per group as a column, which numpy hands to gemv
+                xt = xw.reshape(n, gb, run, 1) if xpg == 1 else xw.reshape(n, gb, xpg, run).swapaxes(-1, -2)
+            np.matmul(cols, xt).sum(axis=0, out=gw[g0:g0 + gb, j0 * kk:(j0 + jb) * kk])
+    return out if x is None else (out, gw)
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None, groups: int = 1) -> Tensor:
@@ -843,19 +769,20 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None, gr
     if len({t.data.dtype for t in parents}) > 1:
         raise ShapeError(f"conv2d expects one dtype, got {', '.join(str(t.data.dtype) for t in parents)}")
     xd, wd = x.data, weight.data
-    depthwise = groups > 1
-    data = _tap_sum(xd, np.ascontiguousarray(wd.transpose(2, 3, 0, 1)),
-                    None if bias is None else bias.data, depthwise)
+    opg, kk = cout // groups, kh * kh
+    data = _walk(xd, wd.reshape(groups, opg, cpg * kk), kh, None if bias is None else bias.data)
 
     def backward(g):
-        if depthwise:
-            gx, gw = _depthwise_backward(xd, g, wd)
-        else:
-            # the taps transposed in/out and flipped in space
-            gx = _tap_sum(g, wd.transpose(2, 3, 1, 0)[::-1, ::-1], None, False)
-            gw = _weight_grad(xd, g, kh)
+        # the taps flipped in space and transposed in/out within each group:
+        # a 1x1's stay a transposed view of the weight, a kxk's are copied so
+        # that BLAS, not numpy's own loop, reads them
+        flipped = wd.reshape(groups, opg, cpg, kk)[..., ::-1].transpose(0, 2, 1, 3)
+        if kh > 1:
+            flipped = np.ascontiguousarray(flipped)
+        gx, gw = _walk(g, flipped.reshape(groups, cpg, opg * kk), kh, x=xd)
         accumulate_grad(x, gx)
-        accumulate_grad(weight, gw)
+        gw = gw.reshape(groups, opg, kk, cpg)[:, :, ::-1].transpose(0, 1, 3, 2)
+        accumulate_grad(weight, np.ascontiguousarray(gw).reshape(wd.shape))
         if bias is not None:
             accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
 

@@ -4,6 +4,9 @@
 ``checks.FirstConvCalls`` calls ``ops.conv2d(x, weight, bias, stride,
 padding, groups)`` positionally; an op removed or a parameter dropped
 crashes every benchmark run.  Both must also leave ``ops`` as they found it.
+``checks.conv_checks`` recomputes the first call of each conv kind in a
+model forward, with the padding ``Conv2d`` passed, and both gradients; a
+change to either fails here, not only in a benchmark run.
 """
 
 from pathlib import Path
@@ -38,6 +41,15 @@ def test_tracer_and_conv_capture_run_and_restore_ops(monkeypatch, rng):
         w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
         ops.conv2d(Tensor(x), w)
     assert list(calls.calls) == ["conv2d.3x3"]
+
+    # a model forward, captured as the benchmark does: each kind's first
+    # call, as Conv2d makes it, passes the oracle with both gradients
+    calls = checks.FirstConvCalls()
+    with calls.capture():
+        model.forward(x)
+    results = checks.conv_checks(calls, seed=0)
+    assert sorted(results) == sorted(f"conv_oracle.{kind}" for kind in spans.CONV_KINDS)
+    assert all(ok for ok, _ in results.values()), results
 
     after = dict(vars(ops))
     assert after.keys() == before.keys()

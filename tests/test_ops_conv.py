@@ -78,14 +78,6 @@ def test_matches_naive_oracle(rng, kind):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
-def test_depthwise_equals_per_channel_correlation(rng):
-    x = rng.normal(size=(2, 4, 6, 6))
-    w = rng.normal(size=(4, 1, 3, 3))
-    got = ops.conv2d(Tensor(x), Tensor(w), groups=4).data
-    want = naive_conv2d(x, w, padding=1, groups=4)
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
-
-
 def test_output_geometry():
     x = Tensor(np.zeros((1, 1, 8, 11)))
     w = Tensor(np.zeros((2, 1, 3, 3)))
@@ -192,18 +184,25 @@ def assert_close_to_tap_loop(got, want, dtype):
     assert np.max(np.abs(got - want)) <= TAP_ORDER_TOL[dtype] * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("k", [3, 5])
-@pytest.mark.parametrize("shape", BLOCKED_SHAPES, ids=shape_id)
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_blocked_depthwise_equals_plain_tap_loop(rng, shape, k, dtype):
-    # equal up to the order of the additions: the taps sum in BLAS order
+TAP_LOOP_CASES = [pytest.param(dtype, shape, k, bias, id=f"{name}-{shape_id(shape)}-{k}" + ("-bias" if bias else ""))
+                  for bias in (False, True)
+                  for name, dtype in (("f32", np.float32), ("f64", np.float64))
+                  for shape in BLOCKED_SHAPES for k in (3, 5)]
+
+
+@pytest.mark.parametrize("dtype,shape,k,bias", TAP_LOOP_CASES)
+def test_blocked_depthwise_equals_plain_tap_loop(rng, dtype, shape, k, bias):
+    # equal up to the order of the additions: the taps sum in BLAS order; the
+    # bias is added as each block's output is cropped, not in a second pass
     x = rng.normal(size=shape).astype(dtype)
     w = rng.normal(size=(shape[1], 1, k, k)).astype(dtype)
+    b = rng.normal(size=shape[1]).astype(dtype) if bias else None
     # the column matrix spans more than one block
     assert x.nbytes * k * k > ops.DW_BLOCK_BYTES
-    got = ops.conv2d(Tensor(x), Tensor(w), groups=shape[1]).data
-    assert got.dtype == dtype
-    assert_close_to_tap_loop(got, plain_tap_loop(x, w, k // 2), dtype)
+    got = ops.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), groups=shape[1]).data
+    assert got.dtype == dtype and got.flags["C_CONTIGUOUS"]
+    want = plain_tap_loop(x, w, k // 2)
+    assert_close_to_tap_loop(got, want if b is None else want + b[:, None, None], dtype)
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -250,19 +249,6 @@ def test_blocked_depthwise_matches_naive_oracle(rng, shape, k):
                                np.sum(g * naive_conv2d(x, dw, padding=p, groups=c)), rtol=1e-10)
 
 
-@pytest.mark.parametrize("k", [3, 5])
-@pytest.mark.parametrize("shape", BLOCKED_SHAPES, ids=shape_id)
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_blocked_depthwise_with_bias_equals_plain_tap_loop_plus_bias(rng, shape, k, dtype):
-    # the bias is added as each block's output is cropped, not in a second pass
-    x = rng.normal(size=shape).astype(dtype)
-    w = rng.normal(size=(shape[1], 1, k, k)).astype(dtype)
-    b = rng.normal(size=shape[1]).astype(dtype)
-    got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), groups=shape[1]).data
-    assert got.dtype == dtype and got.flags["C_CONTIGUOUS"]
-    assert_close_to_tap_loop(got, plain_tap_loop(x, w, k // 2) + b[:, None, None], dtype)
-
-
 def per_tap_weight_grad(x, g, k):
     """Depthwise weight gradient, one einsum per tap over the padded input.
 
@@ -290,13 +276,17 @@ DW_BACKWARD_CASES = [((8, 42, 32, 32), 3), ((8, 24, 32, 32), 3), ((8, 24, 32, 32
                          ids=[f"{shape_id(s)}-k{k}" for s, k in DW_BACKWARD_CASES])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_depthwise_backward_input_gradient_is_the_flipped_tap_sum(rng, shape, k, dtype):
-    # the fused loop runs _tap_sum's matmul on the same column matrix
+    # the backward walk, which also forms the weight gradient, runs the
+    # forward walk's matmul on the same column matrix of g
     c = shape[1]
     x, g = rng.normal(size=shape).astype(dtype), rng.normal(size=shape).astype(dtype)
     w = rng.normal(size=(c, 1, k, k)).astype(dtype)
-    gx, _ = ops._depthwise_backward(x, g, w)
-    flipped = w.transpose(2, 3, 0, 1)[::-1, ::-1]
-    assert np.array_equal(gx, ops._tap_sum(g, flipped, None, True))
+    xt = Tensor(x, requires_grad=True)
+    ops.conv2d(xt, Tensor(w), groups=c).backward(g)
+    flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1]).reshape(c, 1, k * k)
+    want = ops._walk(g, flipped, k)
+    assert xt.grad.shape == want.shape and xt.grad.dtype == want.dtype == dtype
+    assert np.array_equal(xt.grad, want)
 
 
 @pytest.mark.parametrize("shape,k", DW_BACKWARD_CASES,
@@ -335,18 +325,49 @@ def test_dense_gradients_match_naive_oracle(rng, shape, cout, k):
     np.testing.assert_allclose(np.sum(wt.grad * dw), np.sum(g * naive_conv2d(x, dw, padding=p)), rtol=1e-10)
 
 
-def test_depthwise_peak_memory_is_block_local(rng):
-    # no full padded copy or column matrix of the input, output or gradient:
-    # beyond the result, a call holds only a few block-sized scratches.  The
-    # map (16.8 MB) is larger than the slack, so one whole-map copy breaks it.
-    x = rng.normal(size=(1, 64, 256, 256)).astype(np.float32)
-    w = rng.normal(size=(64, 1, 3, 3)).astype(np.float32)
-    b = rng.normal(size=64).astype(np.float32)
-    g = rng.normal(size=x.shape).astype(np.float32)
+# Dense kxk calls walked in input-channel chunks: (x shape, c_out, k).
+CHUNKED_DENSE = [((2, 10, 9, 11), 6, 3), ((1, 7, 8, 8), 4, 5), ((3, 7, 6, 7), 9, 3)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("shape,cout,k", CHUNKED_DENSE,
+                         ids=[f"{shape_id(s)}-{c}-k{k}" for s, c, k in CHUNKED_DENSE])
+def test_chunked_dense_matches_naive_oracle(rng, monkeypatch, shape, cout, k, chunk):
+    # the budget holds ``chunk`` channels of the forward's column matrix, so
+    # 3 or more partial sums over input channels accumulate in the output;
+    # the backward walks the output gradient in chunks of at most as many
+    n, cin, h, w_ = shape
+    p = k // 2
+    column = n * k * k * h * (w_ + 2 * p) * 8
+    monkeypatch.setattr(ops, "DW_BLOCK_BYTES", chunk * column)
+    assert -(-cin // chunk) >= 3
+    x, w = rng.normal(size=shape), rng.normal(size=(cout, cin, k, k))
+    b, g = rng.normal(size=cout), rng.normal(size=(n, cout, h, w_))
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    y = ops.conv2d(xt, wt, bt)
+    np.testing.assert_allclose(y.data, naive_conv2d(x, w, b, padding=p), rtol=1e-10, atol=1e-10)
+    ops.tsum(ops.mul(y, Tensor(g))).backward()
+    # directional derivatives of the bilinear sum(g * conv(x, w)), as above
+    dx, dw = rng.normal(size=x.shape), rng.normal(size=w.shape)
+    np.testing.assert_allclose(np.sum(xt.grad * dx), np.sum(g * naive_conv2d(dx, w, padding=p)), rtol=1e-10)
+    np.testing.assert_allclose(np.sum(wt.grad * dw), np.sum(g * naive_conv2d(x, dw, padding=p)), rtol=1e-10)
+    np.testing.assert_allclose(bt.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+def traced_peaks(rng, xshape, wshape, groups):
+    """Run a float32 conv with bias, then its backward, under tracemalloc.
+
+    Returns the output, input and weight tensors and the forward and
+    backward peaks, the backward's above what was held before it started.
+    """
+    x = rng.normal(size=xshape).astype(np.float32)
+    w = rng.normal(size=wshape).astype(np.float32)
+    b = rng.normal(size=wshape[0]).astype(np.float32)
+    g = rng.normal(size=(xshape[0], wshape[0]) + xshape[2:]).astype(np.float32)
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
     tracemalloc.start()
     try:
-        y = ops.conv2d(xt, wt, bt, groups=64)
+        y = ops.conv2d(xt, wt, bt, groups=groups)
         forward_peak = tracemalloc.get_traced_memory()[1]
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -354,6 +375,26 @@ def test_depthwise_peak_memory_is_block_local(rng):
         backward_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return y, xt, wt, forward_peak, backward_peak
+
+
+def test_dense_peak_memory_has_no_whole_map_column_matrix(rng):
+    # a 3x3's column matrix of the whole input (9 x 12.6 MB) never appears:
+    # the forward holds only block-sized scratch beyond its result; the
+    # backward also holds the input and one input-gradient sum, both at the
+    # padded width, for the weight gradient and the chunks' partial sums
+    y, xt, wt, forward_peak, backward_peak = traced_peaks(rng, (1, 48, 256, 256), (3, 48, 3, 3), 1)
+    slack = 8 * ops.DW_BLOCK_BYTES
+    padded = xt.data.nbytes * 258 // 256
+    assert forward_peak < y.data.nbytes + slack
+    assert backward_peak < xt.grad.nbytes + wt.grad.nbytes + 2 * padded + slack
+
+
+def test_depthwise_peak_memory_is_block_local(rng):
+    # no full padded copy or column matrix of the input, output or gradient:
+    # beyond the result, a call holds only a few block-sized scratches.  The
+    # map (16.8 MB) is larger than the slack, so one whole-map copy breaks it.
+    y, xt, wt, forward_peak, backward_peak = traced_peaks(rng, (1, 64, 256, 256), (64, 1, 3, 3), 64)
     slack = 8 * ops.DW_BLOCK_BYTES
     assert forward_peak < y.data.nbytes + slack
     assert backward_peak < xt.grad.nbytes + wt.grad.nbytes + slack
