@@ -28,14 +28,15 @@ Conventions:
     that wrap into the next row are cropped; one extra zero row keeps the
     last tap's run in bounds), its k*k shifted runs are copied into a
     column matrix, one matmul sums the taps, and the cropped sum, plus the
-    bias, is written straight into the output.  A 1x1 reads the map itself
-    as its column matrix.  No column matrix of a whole map is made, and no
-    padded copy of one but the dense backward's copy of the conv's input at
-    the padded width.  The taps are summed in BLAS order, not tap by tap,
-    but each depthwise channel's sum is the same call whatever block it
-    falls in, so its result does not depend on the block size, and reruns
-    are bit-identical.  The network downsamples with pixel_unshuffle, never
-    a stride.
+    bias, is written straight into the output.  The matmul writes a dense
+    conv's output rows in runs, so that its sum at the padded width is
+    block-sized too.  A 1x1 reads the map itself as its column matrix.  No
+    column matrix of a whole map is made, and no padded copy of one but the
+    dense backward's copy of the conv's input at the padded width.  The
+    taps are summed in BLAS order, not tap by tap, but each depthwise
+    channel's sum is the same call whatever block it falls in, so its
+    result does not depend on the block size, and reruns are bit-identical.
+    The network downsamples with pixel_unshuffle, never a stride.
   - Ops keep the dtype of their tensor operands: a float32 graph computes
     and differentiates in float32, a float64 graph in float64.  A Python
     or numpy scalar passed to add, sub, mul or div adopts the dtype of the
@@ -47,6 +48,8 @@ Conventions:
     feed-forward's gelu(first half) * second half, fused into one node.
     float32 builds erf from SIMD ufuncs (within 2e-7 of erf); float64 calls
     scipy's erf, and its results are those of the whole-array formulas.
+    scipy.special is imported on the first float64 call, not with the
+    package: float32 training and restore, and the CLI, load numpy only.
   - A spectrum is one real NCHW tensor: fft2d maps (n, c, h, w) to
     (n, 2c, h, w) with the real parts in channels [0, c) and the imaginary
     parts in [c, 2c), the layout mean_std uses for its two statistics, and
@@ -60,7 +63,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, accumulate_grad, astensor, make_node, recording
@@ -78,11 +80,12 @@ GELU_CHUNK = 32 * 1024
 # Scratch bytes of one block of a conv's source channels (see _walk): the
 # forward's column matrix, or the backward's padded output gradient, column
 # matrix, matmul output and input at the padded width, per channel.  It
-# sizes depthwise blocks and dense input-channel chunks alike, but was tuned
-# on depthwise calls only: over the network's call lists (float32, one BLAS
-# thread) 1 MB was fastest for both passes.  The forward took 35-43 %
-# longer at 256 KB, 5-25 % at 512 KB and 3-17 % at 2 MB; the backward
-# 33-36 %, 4-15 % and 2-10 %.
+# sizes depthwise blocks, dense input-channel chunks and the runs of dense
+# output rows one matmul writes (no float32 call of the network at 32 or
+# 64 px splits its rows), but was tuned on depthwise calls only: over the
+# network's call lists (float32, one BLAS thread) 1 MB was fastest for both
+# passes.  The forward took 35-43 % longer at 256 KB, 5-25 % at 512 KB and
+# 3-17 % at 2 MB; the backward 33-36 %, 4-15 % and 2-10 %.
 DW_BLOCK_BYTES = 1024 * 1024
 
 
@@ -363,7 +366,9 @@ def _phi(x: np.ndarray, out: np.ndarray, tmp: np.ndarray):
     """The normal CDF Phi(x) = 0.5 * (1 + erf(x / sqrt 2)) of the flat chunk ``x``, into ``out``.
 
     ``tmp`` is scratch of ``x``'s size.  float64 runs scipy's ``erf`` in
-    the order x * (1/sqrt 2), erf, + 1, * 0.5.  float32 builds erf from
+    the order x * (1/sqrt 2), erf, + 1, * 0.5; scipy.special, the package's
+    only use of scipy, is imported here so that loading the package and
+    float32 work never pay its import.  float32 builds erf from
     SIMD ufuncs, Abramowitz and Stegun 7.1.26: for z = |x| / sqrt 2 and
     t = 1 / (1 + p z), 1 - erf(z) = P(t) exp(-z^2) with P of degree 5 and
     error at most 1.5e-7.  With h = P(t) exp(-z^2) / 2 (the coefficients
@@ -371,6 +376,8 @@ def _phi(x: np.ndarray, out: np.ndarray, tmp: np.ndarray):
     inf, -inf and nan give 1, 0 and nan as scipy's erf does.
     """
     if x.dtype != np.float32:
+        from scipy.special import erf
+
         np.multiply(x, _INV_SQRT2, out=out)
         erf(out, out=out)
         out += 1.0
@@ -660,20 +667,22 @@ def _walk(src, rows, k: int, bias=None, x=None):
     least one, as keep the block's scratch near DW_BLOCK_BYTES.  The block
     is zero-padded into a reused scratch, with the wrapped-row layout of the
     module docstring, its k*k shifted runs per channel are copied into a
-    reused column matrix, and one matmul with the block's columns of
-    ``rows`` sums its taps at the padded width.  The cropped sum is written
-    into the output with the bias or, for a dense group's later blocks,
-    added to it.  A 1x1 is one block whose column matrix is ``src`` itself.
+    reused column matrix, and matmuls with the block's columns of ``rows``
+    sum its taps at the padded width, for runs of m's rows whose sums stay
+    near DW_BLOCK_BYTES (a depthwise group has one row).  Each cropped sum
+    is written into the output with the bias or, for a dense group's later
+    blocks, added to it.  A 1x1 is one block whose column matrix is ``src``
+    itself.
 
     With ``x``, the conv's input, ``src`` is the output gradient and
     ``rows`` the flipped, transposed taps, and the walk also returns the
     weight gradient, (groups, c/groups * k*k, x's c/groups).  Each block's
     column matrix times its groups' x at the padded width, whose k-1
-    wrapped columns are zero, summed over the batch: row j*k*k + u*k + v
-    pairs source channel j shifted by (u - k//2, v - k//2) with x, so the
-    taps come out reversed.  Each depthwise channel's sums are the same
-    BLAS calls whatever block it falls in, so its results do not depend on
-    the block size.
+    wrapped columns are zero, summed over the batch (at batch 1 the matmul
+    writes it directly): row j*k*k + u*k + v pairs source channel j shifted
+    by (u - k//2, v - k//2) with x, so the taps come out reversed.  Each
+    depthwise channel's sums are the same BLAS calls whatever block it
+    falls in, so its results do not depend on the block size.
     """
     n, c, h, w = src.shape
     groups, m, _ = rows.shape
@@ -691,12 +700,18 @@ def _walk(src, rows, k: int, bias=None, x=None):
         channel = (h + 2 * p + 1) * wp + (kk + 2) * run
     step = c if k == 1 else min(c, max(1, DW_BLOCK_BYTES // (n * channel * dt.itemsize)))
     if k > 1:
+        # output rows per matmul, so that a dense group's sum at the padded
+        # width stays near one block too
+        mstep = min(m, max(1, DW_BLOCK_BYTES // (n * run * dt.itemsize)))
         gstep = -(-step // cpg)
         sbuf = np.zeros((n, step, h + 2 * p + 1, wp), dt)
         if x is not None:
             xbuf = np.zeros((n, gstep * xpg, h, wp), dt)
         colbuf = np.empty((n, step, kk, run), dt)
-        accbuf = np.empty((n, gstep, m, run), dt)
+        accbuf = np.empty((n, gstep, mstep, run), dt)
+        outg = out.reshape(n, groups, m, h, w)
+        if bias is not None:
+            biasg = bias.reshape(groups, m, 1, 1)
     for c0 in range(0, c, step):
         cb = min(step, c - c0)
         # groups g0..g0+gb, channels j0..j0+jb of each (one of gb, jb is 1)
@@ -712,23 +727,30 @@ def _walk(src, rows, k: int, bias=None, x=None):
             cols = colbuf[:, :cb]
             _im2col(cols, _pad_block(sbuf, src[:, c0:c0 + cb], p, p), k, wp, run)
             cols = cols.reshape(n, gb, jb * kk, run)
-            acc = accbuf[:, :gb]
-            np.matmul(r, cols, out=acc)
-            crop = acc.reshape(n, gb * m, h, wp)[..., :w]
-            o = out[:, g0 * m:(g0 + gb) * m]
-            if j0:
-                o += crop
-            elif bias is None:
-                np.copyto(o, crop)
-            else:
-                np.add(crop, bias[g0 * m:(g0 + gb) * m, None, None], out=o)
+            for m0 in range(0, m, mstep):
+                mb = min(mstep, m - m0)
+                acc = accbuf[:, :gb, :mb]
+                np.matmul(r[:, m0:m0 + mb], cols, out=acc)
+                crop = acc.reshape(n, gb, mb, h, wp)[..., :w]
+                o = outg[:, g0:g0 + gb, m0:m0 + mb]
+                if j0:
+                    o += crop
+                elif bias is None:
+                    np.copyto(o, crop)
+                else:
+                    np.add(crop, biasg[g0:g0 + gb, m0:m0 + mb], out=o)
         if x is not None:
             if not j0:
                 xg = x[:, g0 * xpg:(g0 + gb) * xpg]
                 xw = xg if k == 1 else _pad_block(xbuf, xg, 0, 0)
                 # one x channel per group as a column, which numpy hands to gemv
                 xt = xw.reshape(n, gb, run, 1) if xpg == 1 else xw.reshape(n, gb, xpg, run).swapaxes(-1, -2)
-            np.matmul(cols, xt).sum(axis=0, out=gw[g0:g0 + gb, j0 * kk:(j0 + jb) * kk])
+            gwb = gw[g0:g0 + gb, j0 * kk:(j0 + jb) * kk]
+            if n == 1:
+                # no batch to sum over: the matmul writes the gradient itself
+                np.matmul(cols[0], xt[0], out=gwb)
+            else:
+                np.matmul(cols, xt).sum(axis=0, out=gwb)
     return out if x is None else (out, gw)
 
 
