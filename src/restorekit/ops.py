@@ -27,15 +27,17 @@ Conventions:
     rows are computed at the padded width w + 2*(k//2) (the k-1 columns
     that wrap into the next row are cropped; one extra zero row keeps the
     last tap's run in bounds), its k*k shifted runs are copied into a
-    column matrix, one matmul sums the taps, and the cropped sum, plus the
-    bias, is written straight into the output.  The matmul writes a dense
-    conv's output rows in runs, so that its sum at the padded width is
-    block-sized too.  A 1x1 reads the map itself as its column matrix.  No
-    column matrix of a whole map is made, and no padded copy of one but the
-    dense backward's copy of the conv's input at the padded width.  The
-    taps are summed in BLAS order, not tap by tap, but each depthwise
-    channel's sum is the same call whatever block it falls in, so its
-    result does not depend on the block size, and reruns are bit-identical.
+    column matrix in one copy, from a read-only strided window over the
+    scratch built once per call, one matmul sums the taps, and the cropped
+    sum, plus the bias, is written straight into the output.  The matmul
+    writes a dense conv's output rows in runs, so that its sum at the
+    padded width is block-sized too, and the backward pads the conv's
+    input in blocks of channels as well.  A 1x1 reads the map itself as
+    its column matrix.  No column matrix or padded copy of a whole map is
+    made.  The taps are summed in BLAS order, not tap by tap, but each
+    depthwise channel's sum is the same call whatever block it falls in, so
+    its result does not depend on the block size, and reruns are
+    bit-identical.
     The network downsamples with pixel_unshuffle, never a stride.
   - Ops keep the dtype of their tensor operands: a float32 graph computes
     and differentiates in float32, a float64 graph in float64.  A Python
@@ -80,9 +82,10 @@ GELU_CHUNK = 32 * 1024
 # Scratch bytes of one block of a conv's source channels (see _walk): the
 # forward's column matrix, or the backward's padded output gradient, column
 # matrix, matmul output and input at the padded width, per channel.  It
-# sizes depthwise blocks, dense input-channel chunks and the runs of dense
-# output rows one matmul writes (no float32 call of the network at 32 or
-# 64 px splits its rows), but was tuned on depthwise calls only: over the
+# sizes depthwise blocks, dense input-channel chunks, the runs of dense
+# output rows one matmul writes and of input channels the dense backward
+# pads (no call of the benchmark's 32 px training or 64 px restore splits
+# either run), but was tuned on depthwise calls only: over the
 # network's call lists (float32, one BLAS thread) 1 MB was fastest for both
 # passes.  The forward took 35-43 % longer at 256 KB, 5-25 % at 512 KB and
 # 3-17 % at 2 MB; the backward 33-36 %, 4-15 % and 2-10 %.
@@ -640,20 +643,32 @@ def _pad_block(buf: np.ndarray, src: np.ndarray, top: int, left: int):
 
     ``buf`` is (n, step, H, W) with step >= src's channels and is zeroed
     once when allocated; only this interior is ever written, so the borders
-    stay zero from block to block.  Returns the filled channels flattened to
-    (n, c, H*W), the layout :func:`_im2col` reads.
+    stay zero from block to block.  Returns the filled channels.
     """
     n, c, h, w = src.shape
     blk = buf[:, :c]
     blk[:, :, top:top + h, left:left + w] = src
-    return blk.reshape(n, c, -1)
+    return blk
 
 
-def _im2col(cols, xf, k: int, wp: int, run: int):
-    """Copy the k*k shifted runs of the padded, flattened block ``xf`` into ``cols``' rows."""
-    for u in range(k):
-        for v in range(k):
-            cols[:, :, u * k + v] = xf[:, :, u * wp + v:u * wp + v + run]
+def _tap_window(sbuf: np.ndarray, k: int, wp: int, run: int):
+    """Read-only (n, step, k, k, run) view of the padded scratch ``sbuf``: the column matrix.
+
+    Entry [:, j, u, v] is channel j's run of ``run`` elements of the
+    flattened (H, wp) plane starting at u*wp + v, its shift by tap (u, v).
+    The last tap's run ends inside the extra zero row, and the ndarray
+    constructor refuses a view that would reach past ``sbuf``.  A view: it
+    reads whatever block was padded last.  It is built directly rather
+    than with sliding_window_view, whose dozen-odd temporary objects a
+    call (14 us against 1 us) also let train-tiny's peak RSS creep up by
+    0.5-1.8 MB over a 20 s run.
+    """
+    n, step = sbuf.shape[:2]
+    s0, s1 = sbuf.strides[:2]
+    item = sbuf.itemsize
+    win = np.ndarray((n, step, k, k, run), sbuf.dtype, sbuf, 0, (s0, s1, wp * item, item, item))
+    win.flags.writeable = False
+    return win
 
 
 def _walk(src, rows, k: int, bias=None, x=None):
@@ -666,11 +681,12 @@ def _walk(src, rows, k: int, bias=None, x=None):
     (depthwise) or a run of the one group's channels (dense), as many, at
     least one, as keep the block's scratch near DW_BLOCK_BYTES.  The block
     is zero-padded into a reused scratch, with the wrapped-row layout of the
-    module docstring, its k*k shifted runs per channel are copied into a
-    reused column matrix, and matmuls with the block's columns of ``rows``
-    sum its taps at the padded width, for runs of m's rows whose sums stay
-    near DW_BLOCK_BYTES (a depthwise group has one row).  Each cropped sum
-    is written into the output with the bias or, for a dense group's later
+    module docstring, and one copy from :func:`_tap_window`, built once per
+    call, fills a reused column matrix with its k*k shifted runs per
+    channel; matmuls with the block's columns of ``rows`` sum its taps at
+    the padded width, for runs of m's rows whose sums stay near
+    DW_BLOCK_BYTES (a depthwise group has one row).  Each cropped sum is
+    written into the output with the bias or, for a dense group's later
     blocks, added to it.  A 1x1 is one block whose column matrix is ``src``
     itself.
 
@@ -680,9 +696,13 @@ def _walk(src, rows, k: int, bias=None, x=None):
     column matrix times its groups' x at the padded width, whose k-1
     wrapped columns are zero, summed over the batch (at batch 1 the matmul
     writes it directly): row j*k*k + u*k + v pairs source channel j shifted
-    by (u - k//2, v - k//2) with x, so the taps come out reversed.  Each
-    depthwise channel's sums are the same BLAS calls whatever block it
-    falls in, so its results do not depend on the block size.
+    by (u - k//2, v - k//2) with x, so the taps come out reversed.  x is
+    padded to that width in blocks too: a depthwise block's own channels,
+    or a dense group's input channels in runs of about DW_BLOCK_BYTES,
+    padded once per call when one run holds them all and once per block
+    otherwise.  Each depthwise channel's sums are the same BLAS calls
+    whatever block it falls in, so its results do not depend on the block
+    size.
     """
     n, c, h, w = src.shape
     groups, m, _ = rows.shape
@@ -695,6 +715,9 @@ def _walk(src, rows, k: int, bias=None, x=None):
         channel = kk * run  # the column matrix
     else:
         xpg = x.shape[1] // groups
+        # x channels per matmul: a depthwise group's one, or a run of a
+        # dense group's that keeps x at the padded width near one block
+        xstep = xpg if k == 1 else min(xpg, max(1, DW_BLOCK_BYTES // (n * run * dt.itemsize)))
         gw = np.empty((groups, cpg * kk, xpg), dt)
         # padded source, column matrix, matmul output and input at the padded width
         channel = (h + 2 * p + 1) * wp + (kk + 2) * run
@@ -705,8 +728,9 @@ def _walk(src, rows, k: int, bias=None, x=None):
         mstep = min(m, max(1, DW_BLOCK_BYTES // (n * run * dt.itemsize)))
         gstep = -(-step // cpg)
         sbuf = np.zeros((n, step, h + 2 * p + 1, wp), dt)
+        win = _tap_window(sbuf, k, wp, run)
         if x is not None:
-            xbuf = np.zeros((n, gstep * xpg, h, wp), dt)
+            xbuf = np.zeros((n, gstep * xstep, h, wp), dt)
         colbuf = np.empty((n, step, kk, run), dt)
         accbuf = np.empty((n, gstep, mstep, run), dt)
         outg = out.reshape(n, groups, m, h, w)
@@ -724,8 +748,9 @@ def _walk(src, rows, k: int, bias=None, x=None):
             if bias is not None:
                 out += bias[:, None, None]
         else:
+            _pad_block(sbuf, src[:, c0:c0 + cb], p, p)
             cols = colbuf[:, :cb]
-            _im2col(cols, _pad_block(sbuf, src[:, c0:c0 + cb], p, p), k, wp, run)
+            np.copyto(cols.reshape(n, cb, k, k, run), win[:, :cb])
             cols = cols.reshape(n, gb, jb * kk, run)
             for m0 in range(0, m, mstep):
                 mb = min(mstep, m - m0)
@@ -740,17 +765,21 @@ def _walk(src, rows, k: int, bias=None, x=None):
                 else:
                     np.add(crop, biasg[g0:g0 + gb, m0:m0 + mb], out=o)
         if x is not None:
-            if not j0:
-                xg = x[:, g0 * xpg:(g0 + gb) * xpg]
-                xw = xg if k == 1 else _pad_block(xbuf, xg, 0, 0)
-                # one x channel per group as a column, which numpy hands to gemv
-                xt = xw.reshape(n, gb, run, 1) if xpg == 1 else xw.reshape(n, gb, xpg, run).swapaxes(-1, -2)
             gwb = gw[g0:g0 + gb, j0 * kk:(j0 + jb) * kk]
-            if n == 1:
-                # no batch to sum over: the matmul writes the gradient itself
-                np.matmul(cols[0], xt[0], out=gwb)
-            else:
-                np.matmul(cols, xt).sum(axis=0, out=gwb)
+            for x0 in range(0, xpg, xstep):
+                xb = min(xstep, xpg - x0)
+                # one of gb, xb is 1; x padded for a dense group's first
+                # block is kept when one run holds all its channels
+                if not j0 or xb < xpg:
+                    xg = x[:, g0 * xpg + x0:g0 * xpg + x0 + gb * xb]
+                    xw = xg if k == 1 else _pad_block(xbuf, xg, 0, 0)
+                    # one x channel per group as a column, which numpy hands to gemv
+                    xt = xw.reshape(n, gb, run, 1) if xpg == 1 else xw.reshape(n, gb, xb, run).swapaxes(-1, -2)
+                if n == 1:
+                    # no batch to sum over: the matmul writes the gradient itself
+                    np.matmul(cols[0], xt[0], out=gwb[..., x0:x0 + xb])
+                else:
+                    np.matmul(cols, xt).sum(axis=0, out=gwb[..., x0:x0 + xb])
     return out if x is None else (out, gw)
 
 

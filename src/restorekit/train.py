@@ -143,56 +143,102 @@ def _zero_views(store: ParamStore) -> dict[str, np.ndarray]:
     return views
 
 
+def _adam_update(g, m, v, x, a, b, lr, beta1, beta2, eps, bc1, bc2) -> float:
+    """The update on flat runs g, m, v, x in place, through scratch a and b; returns g . g.
+
+    g is read before b is first written, so b may be g's own storage.
+    """
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, a)
+    m += a
+    v *= beta2
+    sq = float(np.dot(g, g))
+    np.multiply(g, g, a)
+    a *= 1.0 - beta2
+    v += a
+    np.divide(v, bc2, a)
+    np.sqrt(a, a)
+    a += eps
+    np.divide(m, bc1, b)
+    b /= a
+    b *= lr
+    x -= b
+    return sq
+
+
 def adam_step(store: ParamStore, state: OptimizerState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> float:
     """One bias-corrected Adam update, in place on the store's parameters and moments.
 
     Per parameter, the textbook update: m = b1*m + (1-b1)*g, v = b2*v +
-    (1-b2)*g*g, p -= lr * (m/bc1) / (sqrt(v/bc2) + eps).  Each tensor is
-    walked in flat chunks of ADAM_CHUNK elements through two scratch
-    buffers per dtype, reused across all tensors, so no full-size
-    temporary is built and the working set stays in cache.  Each chunk
+    (1-b2)*g*g, p -= lr * (m/bc1) / (sqrt(v/bc2) + eps).  A tensor of at
+    least ADAM_CHUNK elements is walked in flat chunks of ADAM_CHUNK
+    elements, updated in place.  Smaller tensors, in store order per dtype,
+    are gathered into packs of at most ADAM_CHUNK elements: one
+    concatenate per role (g, m, v, parameter) into reused chunk scratch,
+    one update of the pack, then m, v and the parameter copied back per
+    tensor, so that the update's numpy calls are paid per pack, not per
+    tensor.  Scratch is reused across all tensors, so no full-size
+    temporary is built and the working set stays in cache.  Every element
     runs the same operations in the same order as the whole-tensor form,
-    so the result is bit-identical to it.
+    so the result is bit-identical to it.  Every parameter must have a
+    gradient, else UsageError names the first that has none and nothing
+    (step count, parameters, moments) has changed.
 
     Returns the global L2 norm of the gradients: one dot product g . g
-    per chunk while the chunk is in cache, the chunks' sums added in
-    float64, so it costs no pass over the gradients of its own.
+    per chunk or pack while it is in cache, their sums added in float64,
+    so it costs no pass over the gradients of its own.
     """
-    state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
-    scratch = {}
-    sq = 0.0
     for name, p in store.items():
         if p.grad is None:
             raise UsageError(f"adam_step: parameter '{name}' has no gradient")
-        dt = p.data.dtype
+    state.t += 1
+    coef = (lr, beta1, beta2, eps, 1.0 - beta1 ** state.t, 1.0 - beta2 ** state.t)
+    # per dtype: the update's scratch a, then a pack's g (also the update's
+    # scratch b), m, v and x
+    scratch = {}
+    # per dtype: the open pack's (g, m, v, x) arrays and its element count
+    packs = {}
+    sq = 0.0
+
+    def flush(dt):
+        members, size = packs.pop(dt)
+        a, *runs = (buf[:size] for buf in scratch[dt])
+        for run, role in zip(runs, zip(*members)):
+            np.concatenate(role, axis=None, out=run)
+        g, m, v, x = runs
+        total = _adam_update(g, m, v, x, a, g, *coef)
+        lo = 0
+        for _, dm, dv, dx in members:
+            hi = lo + dx.size
+            # flat views, as below
+            dm.ravel()[:] = m[lo:hi]
+            dv.ravel()[:] = v[lo:hi]
+            dx.ravel()[:] = x[lo:hi]
+            lo = hi
+        return total
+
+    for name, p in store.items():
+        dt, size = p.data.dtype, p.data.size
         if dt not in scratch:
-            scratch[dt] = (np.empty(ADAM_CHUNK, dt), np.empty(ADAM_CHUNK, dt))
-        buf_a, buf_b = scratch[dt]
+            scratch[dt] = [np.empty(ADAM_CHUNK, dt) for _ in range(5)]
+        tensors = p.grad, state.m[name], state.v[name], p.data
+        if size < ADAM_CHUNK:
+            if dt in packs and packs[dt][1] + size > ADAM_CHUNK:
+                sq += flush(dt)
+            members, held = packs.get(dt, ([], 0))
+            members.append(tensors)
+            packs[dt] = (members, held + size)
+            continue
+        buf_a, buf_b = scratch[dt][:2]
         # flat views: parameters (Tensor.data) and moments (OptimizerState)
         # are C-contiguous, so the in-place writes below land in them
-        flat = p.grad.ravel(), state.m[name].ravel(), state.v[name].ravel(), p.data.ravel()
-        size = p.data.size
+        flat = [t.ravel() for t in tensors]
         for lo in range(0, size, ADAM_CHUNK):
-            g, m, v, x = (f[lo:lo + ADAM_CHUNK] for f in flat) if size > ADAM_CHUNK else flat
-            a, b = buf_a[:x.size], buf_b[:x.size]
-            m *= beta1
-            np.multiply(g, 1.0 - beta1, a)
-            m += a
-            v *= beta2
-            sq += float(np.dot(g, g))
-            np.multiply(g, g, a)
-            a *= 1.0 - beta2
-            v += a
-            np.divide(v, bc2, a)
-            np.sqrt(a, a)
-            a += eps
-            np.divide(m, bc1, b)
-            b /= a
-            b *= lr
-            x -= b
+            g, m, v, x = (f[lo:lo + ADAM_CHUNK] for f in flat)
+            sq += _adam_update(g, m, v, x, buf_a[:g.size], buf_b[:g.size], *coef)
+    for dt in list(packs):
+        sq += flush(dt)
     return math.sqrt(sq)
 
 

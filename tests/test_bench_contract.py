@@ -6,7 +6,9 @@ padding, groups)`` positionally; an op removed or a parameter dropped
 crashes every benchmark run.  Both must also leave ``ops`` as they found it.
 ``checks.conv_checks`` recomputes the first call of each conv kind in a
 model forward, with the padding ``Conv2d`` passed, and both gradients; a
-change to either fails here, not only in a benchmark run.
+change to either fails here, not only in a benchmark run.  So does
+``checks.adam_check``, which runs ``adam_step`` on moments it builds as
+standalone arrays.
 """
 
 from pathlib import Path
@@ -54,3 +56,16 @@ def test_tracer_and_conv_capture_run_and_restore_ops(monkeypatch, rng):
     after = dict(vars(ops))
     assert after.keys() == before.keys()
     assert all(after[name] is before[name] for name in before)
+
+
+def test_adam_check_passes_after_a_backward(monkeypatch, rng):
+    # one adam_step on a tiny model's gradients against the formula, with
+    # seeded moments that are not views of OptimizerState's buffers
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import checks
+
+    model = RestorationModel(tiny_config(seed=0))
+    x = rng.uniform(0.1, 0.9, size=(2, 3, 16, 16)).astype(np.float32)
+    ops.tmean(ops.square(model.forward(x))).backward()
+    ok, detail = checks.adam_check(model.store, seed=0)
+    assert ok, detail

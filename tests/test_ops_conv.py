@@ -303,6 +303,69 @@ def test_depthwise_weight_gradient_matches_per_tap_einsum(rng, shape, k, dtype):
     assert_close_to_tap_loop(wt.grad, per_tap_weight_grad(x, g, k), dtype)
 
 
+class SliceLoopColumns:
+    """Stands in for ``ops._tap_window``: the column matrix by k*k slice copies.
+
+    Indexed as the walk indexes the window, ``[:, :cb]``, it copies each
+    tap's shifted run of the padded scratch's first cb channels, flattened,
+    with one slice assignment per tap (u, v) from offset u*wp + v, and
+    returns them as (n, cb, k, k, run).  It reads the scratch when indexed,
+    as the window, a view, does.
+    """
+
+    calls = 0
+
+    def __init__(self, sbuf, k, wp, run):
+        self.sbuf, self.k, self.wp, self.run = sbuf, k, wp, run
+        SliceLoopColumns.calls += 1
+
+    def __getitem__(self, idx):
+        k, wp, run = self.k, self.wp, self.run
+        n, step = self.sbuf.shape[:2]
+        xf = self.sbuf.reshape(n, step, -1)[idx]
+        cols = np.empty(xf.shape[:2] + (k * k, run), xf.dtype)
+        for u in range(k):
+            for v in range(k):
+                cols[:, :, u * k + v] = xf[:, :, u * wp + v:u * wp + v + run]
+        return cols.reshape(xf.shape[:2] + (k, k, run))
+
+
+@pytest.mark.parametrize("budget", ["default", "partial"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("k", [3, 5, 7])
+@pytest.mark.parametrize("kind", ["depthwise", "dense"])
+def test_column_window_equals_the_slice_loop(rng, monkeypatch, kind, k, n, dtype, budget):
+    # output, input gradient and weight gradient are bit-identical to a walk
+    # whose column matrix is copied tap by tap.  "partial": blocks of 3
+    # channels in the backward (more in the forward), the last one partial
+    c, h, w_ = 7, 9, 11
+    cout, groups = (c, c) if kind == "depthwise" else (4, 1)
+    if budget == "partial":
+        wp = w_ + 2 * (k // 2)
+        channel = (h + 2 * (k // 2) + 1) * wp + (k * k + 2) * h * wp
+        monkeypatch.setattr(ops, "DW_BLOCK_BYTES", 3 * n * channel * np.dtype(dtype).itemsize)
+    x = rng.normal(size=(n, c, h, w_)).astype(dtype)
+    w = rng.normal(size=(cout, c // groups, k, k)).astype(dtype)
+    b = rng.normal(size=cout).astype(dtype)
+    g = rng.normal(size=(n, cout, h, w_)).astype(dtype)
+
+    def run():
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        y = ops.conv2d(xt, wt, Tensor(b), groups=groups)
+        y.backward(g)
+        return y.data, xt.grad, wt.grad
+
+    want = run()
+    monkeypatch.setattr(ops, "_tap_window", SliceLoopColumns)
+    calls = SliceLoopColumns.calls
+    got = run()
+    # the forward walk and the backward walk
+    assert SliceLoopColumns.calls == calls + 2
+    for part, name in enumerate(("output", "input gradient", "weight gradient")):
+        assert np.array_equal(got[part], want[part]), name
+
+
 # Dense shapes wider than MODEL_KINDS, at batch 1 and 8: (x shape, c_out, k).
 # The last two are 3x3 calls the model makes at 32 px: full-preset fusion
 # spatial_mid and tiny-preset conv_out.
@@ -382,15 +445,13 @@ def traced_peaks(rng, xshape, wshape, groups):
 
 
 def test_dense_peak_memory_has_no_whole_map_column_matrix(rng):
-    # a 3x3's column matrix of the whole input (9 x 12.6 MB) never appears:
-    # the forward holds only block-sized scratch beyond its result; the
-    # backward also holds the input at the padded width, for the weight
-    # gradient, but its partial sums at that width are block-sized too
+    # a 3x3's column matrix of the whole input (9 x 12.6 MB) never appears,
+    # nor a copy of the input at the padded width: beyond the result, both
+    # passes hold only block-sized scratch
     y, xt, wt, forward_peak, backward_peak = traced_peaks(rng, (1, 48, 256, 256), (3, 48, 3, 3), 1)
     slack = 8 * ops.DW_BLOCK_BYTES
-    padded = xt.data.nbytes * 258 // 256
     assert forward_peak < y.data.nbytes + slack
-    assert backward_peak < xt.grad.nbytes + wt.grad.nbytes + padded + slack
+    assert backward_peak < xt.grad.nbytes + wt.grad.nbytes + slack
 
 
 def test_depthwise_peak_memory_is_block_local(rng):

@@ -117,6 +117,26 @@ def test_adam_requires_gradients():
         adam_step(store, OptimizerState(store), lr=1e-3)
 
 
+def test_adam_without_a_gradient_changes_nothing(rng):
+    # every gradient is checked before the first write: the step count,
+    # the parameters and both moments are as they were
+    store = ParamStore(seed=0, dtype=np.float64)
+    store.param("a", (3,), init="ones").grad = np.ones(3)
+    store.param("b", (2,), init="ones")
+    state = OptimizerState(store)
+    state.load_arrays({f"{role}.{name}": rng.uniform(size=p.data.shape)
+                       for role in "mv" for name, p in store.items()}, t=2)
+    before = {name: p.data.copy() for name, p in store.items()}
+    moments = {key: arr.copy() for key, arr in state.arrays().items()}
+    with pytest.raises(UsageError, match="'b'"):
+        adam_step(store, state, lr=1e-1)
+    assert state.t == 2
+    for name, p in store.items():
+        assert np.array_equal(p.data, before[name]), name
+    for key, arr in state.arrays().items():
+        assert np.array_equal(arr, moments[key]), key
+
+
 def test_adam_state_counts_steps(rng):
     store = ParamStore(seed=0, dtype=np.float64)
     p = store.param("w", (2,), init="ones")
@@ -143,16 +163,27 @@ def textbook_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_chunked_adam_is_bit_identical_to_the_whole_tensor_form(rng, dtype):
+    # tensors of at least ADAM_CHUNK elements go chunk by chunk, smaller ones
+    # in packs: a few hundred of 1-1000 elements fill several packs, with
+    # larger tensors and an empty one between them.  The moments are
+    # standalone arrays, not views of OptimizerState's one buffer per role.
     chunk = train.ADAM_CHUNK
     shapes = {"one": (1,), "below": (chunk - 1,), "exact": (chunk,), "above": (chunk + 1,),
               "several": (3 * chunk + 5,), "conv": (6, 1, 3, 3)}
+    small = {f"s{i}": (int(size),) for i, size in enumerate(rng.integers(1, 1001, size=300))}
+    small["s150"] = (0, 2)
+    shapes = {**dict(list(small.items())[:100]), **shapes, **dict(list(small.items())[100:])}
+    assert sum(np.prod(s) for s in small.values()) > 2 * chunk
     store = ParamStore(seed=0, dtype=dtype)
     for name, shape in shapes.items():
         store.param(name, shape, init="fan_in", fan_in=9)
     state = OptimizerState(store)
+    for role in (state.m, state.v):
+        for name in role:
+            role[name] = (rng.uniform(size=shapes[name]) * 1e-3).astype(dtype)
     params = {name: p.data.copy() for name, p in store.items()}
-    m = {name: np.zeros_like(a) for name, a in params.items()}
-    v = {name: np.zeros_like(a) for name, a in params.items()}
+    m = {name: a.copy() for name, a in state.m.items()}
+    v = {name: a.copy() for name, a in state.v.items()}
     for t, lr in enumerate((1e-3, 5e-4, 2e-4), start=1):
         grads = {name: rng.normal(size=shapes[name]).astype(dtype) for name in shapes}
         for name, p in store.items():
