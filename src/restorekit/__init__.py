@@ -1,6 +1,5 @@
 """restorekit: degradation-aware gated image restoration, numpy all the way down."""
 
-from . import ops  # noqa: F401  (wires Tensor operator overloads)
 from .tensor import Tensor, no_grad  # noqa: F401
 
 __version__ = "0.1.0"

@@ -227,16 +227,15 @@ def save_model(model, path, train_state: dict | None = None,
     return save_checkpoint(path, arrays, config_to_dict(model.config), train_state)
 
 
-def load_model(path, dtype=None):
-    """Rebuild the model a checkpoint was saved from.
+def load_model(path):
+    """Rebuild the model a checkpoint was saved from, in the dtype it was saved in.
 
     Returns (model, manifest, arrays); ``arrays`` holds the parameters only.
-    The parameters are the loaded arrays themselves (cast only when
-    ``dtype`` differs), so nothing is drawn and nothing is copied.  The
-    optimizer entries, which ``save_model`` writes after the parameters,
-    are checked against the CRC-32 but not kept, so a training checkpoint
-    costs an inference process no more memory than a bare one; resuming
-    training needs :func:`load_checkpoint`.
+    The parameters are the loaded arrays themselves, so nothing is drawn
+    and nothing is copied.  The optimizer entries, which ``save_model``
+    writes after the parameters, are checked against the CRC-32 but not
+    kept, so a training checkpoint costs an inference process no more
+    memory than a bare one; resuming training needs :func:`load_checkpoint`.
     """
     from .model import RestorationModel, config_from_dict
 
@@ -244,7 +243,6 @@ def load_model(path, dtype=None):
     if not isinstance(manifest.get("config"), dict):
         raise DataError(f"checkpoint {_stem(path)} has no model config")
     config = config_from_dict(manifest["config"])
-    if dtype is None:
-        dtype = params[next(iter(params))].dtype if params else np.float32
+    dtype = params[next(iter(params))].dtype if params else np.float32
     model = RestorationModel(config, dtype=dtype, arrays=params)
     return model, manifest, params

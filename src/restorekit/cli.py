@@ -132,7 +132,9 @@ def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
     Precedence is argparse defaults < config file < explicit flags.  Each
     file value must pass what its flag would: type (JSON true/false are not
-    numbers, though Python takes them as 1/0) and choices.
+    numbers, though Python takes them as 1/0) and choices.  A null is taken
+    only for a flag whose default is None (--data, --resume, the
+    degradation parameters).
     """
     ns = parser.parse_args(argv)
     config_path = getattr(ns, "config", None)
@@ -153,14 +155,17 @@ def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
             raise ConfigError(f"config file {config_path}: unknown field '{key}'")
         action = actions[key]
         want = action.type or str
-        if value is not None:
-            if (not isinstance(value, (int, float) if want is float else want)
-                    or isinstance(value, bool)):
-                raise ConfigError(f"config file {config_path}: field '{key}' expects "
-                                  f"{want.__name__}, got {type(value).__name__}")
-            if action.choices and value not in action.choices:
-                raise ConfigError(f"config file {config_path}: field '{key}' must be one of "
-                                  f"{', '.join(map(str, action.choices))}, got {value!r}")
+        if value is None:
+            if action.default is not None:
+                raise ConfigError(f"config file {config_path}: field '{key}' cannot be null")
+            continue
+        if (not isinstance(value, (int, float) if want is float else want)
+                or isinstance(value, bool)):
+            raise ConfigError(f"config file {config_path}: field '{key}' expects "
+                              f"{want.__name__}, got {type(value).__name__}")
+        if action.choices and value not in action.choices:
+            raise ConfigError(f"config file {config_path}: field '{key}' must be one of "
+                              f"{', '.join(map(str, action.choices))}, got {value!r}")
     subparser.set_defaults(**raw)
     return parser.parse_args(argv)
 

@@ -31,9 +31,9 @@ class Conv2d:
 
 
 class Linear:
-    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int, bias: bool = True):
+    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int):
         self.weight = store.param(f"{name}.weight", (d_out, d_in), init="fan_in", fan_in=d_in)
-        self.bias = store.param(f"{name}.bias", (d_out,)) if bias else None
+        self.bias = store.param(f"{name}.bias", (d_out,))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.linear(x, self.weight, self.bias)

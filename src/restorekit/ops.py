@@ -1,10 +1,9 @@
 """Differentiable operations.
 
 Free functions over :class:`~restorekit.tensor.Tensor`; each builds one (or
-a few) tape nodes.  Convolution, softmax, the normalizations (standardize,
-l2_normalize), mean_std, FFT, pixel shuffles, gelu_gate and
-channel_attention are single nodes with hand-written backwards.  gap
-reuses tmean and inherits its gradient.
+a few) tape nodes.  Convolution, softmax, standardize, mean_std, FFT,
+pixel shuffles, gelu_gate and channel_attention are single nodes with
+hand-written backwards.  gap reuses tmean and inherits its gradient.
 
 Conventions:
   - conv2d computes stride-1 "same" cross-correlation (no kernel flip): an
@@ -313,30 +312,24 @@ def matmul(a, b) -> Tensor:
     return make_node(data, (a, b), backward, "matmul")
 
 
-def linear(x, weight, bias=None) -> Tensor:
+def linear(x, weight, bias) -> Tensor:
     """Affine map of row vectors: ``y = x @ weight.T + bias``.
 
-    x: (n, d_in), weight: (d_out, d_in), bias: (d_out,) or None.
+    x: (n, d_in), weight: (d_out, d_in), bias: (d_out,).
     """
-    x, weight = astensor(x), astensor(weight)
+    x, weight, bias = astensor(x), astensor(weight), astensor(bias)
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"linear: got x {x.shape}, weight {weight.shape}")
-    data = x.data @ weight.data.T
-    parents = [x, weight]
-    if bias is not None:
-        bias = astensor(bias)
-        if bias.shape != (weight.shape[0],):
-            raise ShapeError(f"linear: bias {bias.shape} does not match d_out {weight.shape[0]}")
-        data = data + bias.data
-        parents.append(bias)
+    if bias.shape != (weight.shape[0],):
+        raise ShapeError(f"linear: bias {bias.shape} does not match d_out {weight.shape[0]}")
+    data = x.data @ weight.data.T + bias.data
 
     def backward(g):
         accumulate_grad(x, g @ weight.data)
         accumulate_grad(weight, g.T @ x.data)
-        if bias is not None:
-            accumulate_grad(bias, g.sum(axis=0))
+        accumulate_grad(bias, g.sum(axis=0))
 
-    return make_node(data, tuple(parents), backward, "linear")
+    return make_node(data, (x, weight, bias), backward, "linear")
 
 
 # ---------------------------------------------------------------------------
@@ -540,21 +533,6 @@ def standardize(x, axes, eps: float) -> Tensor:
     return make_node(data, (x,), backward, "standardize")
 
 
-def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """x / sqrt(sum(x^2) + eps) along ``axis``, one node (eps keeps the zero vector finite).
-
-    The backward is (g - y * sum(g * y)) / norm from the output y.
-    """
-    x = astensor(x)
-    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True) + eps)
-    data = x.data / norm
-
-    def backward(g):
-        accumulate_grad(x, (g - data * (g * data).sum(axis=axis, keepdims=True)) / norm)
-
-    return make_node(data, (x,), backward, "l2_normalize")
-
-
 # ---------------------------------------------------------------------------
 # channel attention
 # ---------------------------------------------------------------------------
@@ -571,7 +549,7 @@ def _channel_attention_map(qkv: np.ndarray, heads: int, tau):
     """
     n, c3, hh, ww = qkv.shape
     q, k, v = np.moveaxis(qkv.reshape(n, 3, heads, c3 // (3 * heads), hh * ww), 1, 0)
-    # the eps of l2_normalize: it keeps a zero row finite
+    # the eps keeps a zero row finite
     nq = np.sqrt((q * q).sum(axis=-1, keepdims=True) + 1e-12)
     nk = np.sqrt((k * k).sum(axis=-1, keepdims=True) + 1e-12)
     s = q @ np.swapaxes(k, -1, -2)
@@ -974,19 +952,3 @@ def pixel_shuffle(x, r: int) -> Tensor:
         accumulate_grad(x, inv(g))
 
     return make_node(fwd(x.data), (x,), backward, "pixel_shuffle")
-
-
-# ---------------------------------------------------------------------------
-# operator sugar on Tensor
-# ---------------------------------------------------------------------------
-
-Tensor.__add__ = lambda self, other: add(self, other)
-Tensor.__radd__ = lambda self, other: add(other, self)
-Tensor.__sub__ = lambda self, other: sub(self, other)
-Tensor.__rsub__ = lambda self, other: sub(other, self)
-Tensor.__mul__ = lambda self, other: mul(self, other)
-Tensor.__rmul__ = lambda self, other: mul(other, self)
-Tensor.__truediv__ = lambda self, other: div(self, other)
-Tensor.__rtruediv__ = lambda self, other: div(other, self)
-Tensor.__neg__ = lambda self: neg(self)
-Tensor.__matmul__ = lambda self, other: matmul(self, other)

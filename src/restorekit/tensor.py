@@ -93,12 +93,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self.op}{flag})"
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- backward ------------------------------------------------------
     def backward(self, grad=None):
         """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable leaf.

@@ -84,7 +84,7 @@ def cosine_lr(t: int, total: int, lr0: float, lr_min: float) -> float:
 class OptimizerState:
     """Adam first/second moments per parameter plus the step counter.
 
-    Each role (``m``, ``v``) is one zeroed buffer per parameter dtype, and
+    Each role (``m``, ``v``) is one zeroed buffer in the store's dtype, and
     each parameter's moment is a C-contiguous view of it, in store order.
     A buffer that size is a mapping of its own: its pages are only touched
     when Adam first writes them, and it goes back to the OS whole once the
@@ -129,17 +129,13 @@ class OptimizerState:
 
 def _zero_views(store: ParamStore) -> dict[str, np.ndarray]:
     """One zeroed view per parameter, shaped like it, carved in store order
-    from one buffer per dtype."""
-    sizes = {}
-    for p in store.tensors():
-        sizes[p.data.dtype] = sizes.get(p.data.dtype, 0) + p.data.size
-    buffers = {dt: np.zeros(size, dt) for dt, size in sizes.items()}
-    offsets = dict.fromkeys(buffers, 0)
+    from one buffer in the store's dtype."""
+    buffer = np.zeros(store.total_parameters(), store.dtype)
     views = {}
+    lo = 0
     for name, p in store.items():
-        dt, lo = p.data.dtype, offsets[p.data.dtype]
-        offsets[dt] = lo + p.data.size
-        views[name] = buffers[dt][lo:offsets[dt]].reshape(p.data.shape)
+        views[name] = buffer[lo:lo + p.data.size].reshape(p.data.shape)
+        lo += p.data.size
     return views
 
 
@@ -173,8 +169,8 @@ def adam_step(store: ParamStore, state: OptimizerState, lr: float,
     Per parameter, the textbook update: m = b1*m + (1-b1)*g, v = b2*v +
     (1-b2)*g*g, p -= lr * (m/bc1) / (sqrt(v/bc2) + eps).  A tensor of at
     least ADAM_CHUNK elements is walked in flat chunks of ADAM_CHUNK
-    elements, updated in place.  Smaller tensors, in store order per dtype,
-    are gathered into packs of at most ADAM_CHUNK elements: one
+    elements, updated in place.  Smaller tensors, in store order, are
+    gathered into packs of at most ADAM_CHUNK elements: one
     concatenate per role (g, m, v, parameter) into reused chunk scratch,
     one update of the pack, then m, v and the parameter copied back per
     tensor, so that the update's numpy calls are paid per pack, not per
@@ -194,16 +190,12 @@ def adam_step(store: ParamStore, state: OptimizerState, lr: float,
             raise UsageError(f"adam_step: parameter '{name}' has no gradient")
     state.t += 1
     coef = (lr, beta1, beta2, eps, 1.0 - beta1 ** state.t, 1.0 - beta2 ** state.t)
-    # per dtype: the update's scratch a, then a pack's g (also the update's
-    # scratch b), m, v and x
-    scratch = {}
-    # per dtype: the open pack's (g, m, v, x) arrays and its element count
-    packs = {}
+    # the update's scratch a, then a pack's g (also the update's scratch b), m, v and x
+    scratch = [np.empty(ADAM_CHUNK, store.dtype) for _ in range(5)]
     sq = 0.0
 
-    def flush(dt):
-        members, size = packs.pop(dt)
-        a, *runs = (buf[:size] for buf in scratch[dt])
+    def flush(members, size):
+        a, *runs = (buf[:size] for buf in scratch)
         for run, role in zip(runs, zip(*members)):
             np.concatenate(role, axis=None, out=run)
         g, m, v, x = runs
@@ -218,27 +210,27 @@ def adam_step(store: ParamStore, state: OptimizerState, lr: float,
             lo = hi
         return total
 
+    # the open pack's (g, m, v, x) arrays and its element count
+    pack, held = [], 0
     for name, p in store.items():
-        dt, size = p.data.dtype, p.data.size
-        if dt not in scratch:
-            scratch[dt] = [np.empty(ADAM_CHUNK, dt) for _ in range(5)]
+        size = p.data.size
         tensors = p.grad, state.m[name], state.v[name], p.data
         if size < ADAM_CHUNK:
-            if dt in packs and packs[dt][1] + size > ADAM_CHUNK:
-                sq += flush(dt)
-            members, held = packs.get(dt, ([], 0))
-            members.append(tensors)
-            packs[dt] = (members, held + size)
+            if held + size > ADAM_CHUNK:
+                sq += flush(pack, held)
+                pack, held = [], 0
+            pack.append(tensors)
+            held += size
             continue
-        buf_a, buf_b = scratch[dt][:2]
+        buf_a, buf_b = scratch[:2]
         # flat views: parameters (Tensor.data) and moments (OptimizerState)
         # are C-contiguous, so the in-place writes below land in them
         flat = [t.ravel() for t in tensors]
         for lo in range(0, size, ADAM_CHUNK):
             g, m, v, x = (f[lo:lo + ADAM_CHUNK] for f in flat)
             sq += _adam_update(g, m, v, x, buf_a[:g.size], buf_b[:g.size], *coef)
-    for dt in list(packs):
-        sq += flush(dt)
+    if pack:
+        sq += flush(pack, held)
     return math.sqrt(sq)
 
 

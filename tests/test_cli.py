@@ -219,6 +219,9 @@ def test_config_file_wrong_type_exits_two(tmp_path, capsys):
     ("lr0", True),             # JSON booleans are not numbers
     ("steps", True),
     ("sigma", False),          # a float field with no built-in default
+    ("steps", None),           # null only stands in for a flag whose default is None
+    ("lr0", None),
+    ("precision", None),
 ])
 def test_config_file_value_the_flag_would_reject_exits_two(tmp_path, capsys, field, value):
     cfg = tmp_path / "bad.json"
@@ -227,6 +230,18 @@ def test_config_file_value_the_flag_would_reject_exits_two(tmp_path, capsys, fie
     assert run(["train", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 2
     assert f"'{field}'" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_config_file_null_trains_with_the_flags_default(tmp_path):
+    # --sigma has no default of its own: null leaves the task's sigma, as an absent field does
+    base = {"steps": 1, "count": 2, "holdout": 0, "patch": 16, "batch": 1}
+    for name, extra in (("absent", {}), ("null", {"sigma": None})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**base, **extra}))
+        assert run(["train", "--out", str(tmp_path / name), "--config", str(cfg)]) == 0
+    stems = [tmp_path / name / "ckpt_final" for name in ("absent", "null")]
+    assert load_checkpoint(stems[1])[0]["train_state"]["data_recipe"]["sigma"] is None
+    assert stems[0].with_suffix(".bin").read_bytes() == stems[1].with_suffix(".bin").read_bytes()
 
 
 def test_config_file_invalid_json_exits_two(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from restorekit import ops
 from restorekit.errors import ConfigError, ShapeError
-from restorekit.layers import Conv2d, GroupNorm, LayerNorm, Linear
+from restorekit.layers import Conv2d, GroupNorm, LayerNorm
 from restorekit.params import ParamStore
 from restorekit.tensor import Tensor
 
@@ -92,11 +92,3 @@ def test_group_norm_affine(rng):
     y = gn(Tensor(rng.normal(size=(1, 4, 5, 5)))).data
     for c in range(4):
         np.testing.assert_allclose(y[0, c], c + 1.0)
-
-
-def test_linear_layer_bias_toggle(rng):
-    store = ParamStore(seed=0, dtype=np.float64)
-    lin = Linear(store, "l", 4, 2, bias=False)
-    assert lin.bias is None
-    x = rng.normal(size=(3, 4))
-    np.testing.assert_allclose(lin(Tensor(x)).data, x @ lin.weight.data.T, rtol=1e-12)

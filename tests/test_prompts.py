@@ -101,7 +101,7 @@ def test_gradients_reach_every_parameter(rng):
     ctx = gen(Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True))
     loss = ops.tsum(ops.square(ctx.global_feature))
     for p in ctx.level_prompts:
-        loss = loss + ops.tsum(ops.square(p))
+        loss = ops.add(loss, ops.tsum(ops.square(p)))
     loss.backward()
     missing = [n for n, p in store.items() if p.grad is None]
     assert not missing, missing
