@@ -20,7 +20,8 @@ Saves are atomic per file and ordered: the payload goes to a temp file that
 replaces ``<stem>.bin``, then the manifest replaces ``<stem>.json`` the same
 way, so the manifest is the commit point.  The manifest carries the CRC-32
 of the payload, and a load whose payload does not match it raises, so a
-save that died between the two files never loads as a mixed pair.
+save that died between the two files never loads as a mixed pair.  A
+manifest without the payload's byte count or CRC-32 does not load.
 
 A replaced file is held open across the rename and closed on a thread of
 its own, because the filesystem's release of a replaced file blocked the
@@ -146,11 +147,13 @@ def _load(path, keep) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(entries, list):
         raise DataError(f"manifest {mpath} has no list of tensors")
     tensors = [_entry(entry) for entry in entries]
+    for key in ("payload_bytes", "payload_crc32"):
+        if not _is_count(manifest.get(key)):
+            raise DataError(f"manifest {mpath} needs a non-negative integer {key}, got {manifest.get(key)!r}")
     with bpath.open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        declared = manifest.get("payload_bytes")
-        if declared is not None and declared != size:
-            raise DataError(f"payload is {size} bytes, manifest declares {declared}")
+        if manifest["payload_bytes"] != size:
+            raise DataError(f"payload is {size} bytes, manifest declares {manifest['payload_bytes']}")
         for name, _, _, _, end in tensors:
             if end > size:
                 raise DataError(f"tensor '{name}' overruns payload ({end} > {size})")
@@ -163,7 +166,7 @@ def _load(path, keep) -> tuple[dict, dict[str, np.ndarray]]:
         if fh.readinto(payload) != payload.size:
             raise DataError(f"payload {bpath} ended early")
         crc = _crc_of_next(fh, size - hi, zlib.crc32(payload, crc))
-    if manifest.get("payload_crc32") not in (None, crc):
+    if manifest["payload_crc32"] != crc:
         raise DataError(f"payload {bpath} does not match the CRC-32 in {mpath}")
     arrays = {}
     for name, dt, shape, start, end in kept:

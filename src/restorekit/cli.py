@@ -171,7 +171,9 @@ def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 
 def _degradation_spec(ns):
-    return spec_for_task(ns.task, **{k: getattr(ns, k) for k in _DEGRADE_KEYS})
+    spec = spec_for_task(ns.task, **{k: getattr(ns, k) for k in _DEGRADE_KEYS})
+    spec.validate()
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +182,10 @@ def _degradation_spec(ns):
 
 def cmd_train(ns) -> int:
     spec = _degradation_spec(ns)
+    cfg = TrainConfig(steps=ns.steps, batch_size=ns.batch, lr0=ns.lr0,
+                      lr_min=ns.lr_min, lambda_fourier=ns.lambda_fourier,
+                      seed=ns.seed, checkpoint_every=ns.checkpoint_every)
+    cfg.validate()
     if ns.patch % 8:
         raise ConfigError("patch size must be a multiple of 8")
     if ns.count < 1 or ns.holdout < 0:
@@ -194,10 +200,6 @@ def cmd_train(ns) -> int:
     pairs = make_patch_set(spec, total, patch=ns.patch, seed=ns.seed, clean_dir=ns.data)
     train_pairs = pairs[:ns.count]
     eval_pairs = pairs[ns.count:]
-
-    cfg = TrainConfig(steps=ns.steps, batch_size=ns.batch, lr0=ns.lr0,
-                      lr_min=ns.lr_min, lambda_fourier=ns.lambda_fourier,
-                      seed=ns.seed, checkpoint_every=ns.checkpoint_every)
     # everything besides cfg.seed that decides train_pairs; a resume must match it
     recipe = {key: getattr(ns, key) for key in ("task", *_DEGRADE_KEYS, "count", "patch", "data")}
     # the same --data path with other images must not resume
@@ -288,8 +290,8 @@ def cmd_grad_check(ns) -> int:
 
 
 def cmd_ablate(ns) -> int:
-    if ns.image % 8:
-        raise ConfigError("--image must be a multiple of 8")
+    if ns.image < 8 or ns.image % 8:
+        raise ConfigError(f"--image must be a positive multiple of 8, got {ns.image}")
     base = config_by_name(ns.size)
     rng = np.random.default_rng(0)
     x = rng.uniform(0.1, 0.9, size=(1, 3, ns.image, ns.image))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_finite
 
 KINDS = ("gaussian_noise", "haze", "rain", "lowlight", "composite")
 
@@ -44,6 +44,7 @@ class DegradationSpec:
     parts: tuple = field(default_factory=tuple)
 
     def validate(self):
+        require_finite(self)
         if self.kind not in KINDS:
             raise ConfigError(f"unknown degradation kind '{self.kind}'")
         if self.kind == "gaussian_noise" and self.sigma < 0:

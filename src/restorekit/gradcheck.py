@@ -12,6 +12,7 @@ output) can have near-zero gradients that make relative error meaningless.
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -105,64 +106,94 @@ def _projector(rng):
     return lose
 
 
+def _probe_rng(seed: int, name: str) -> np.random.Generator:
+    """The generator of one primitive probe, or group sharing inputs: from ``seed`` and ``name`` alone."""
+    return np.random.default_rng([seed, zlib.crc32(name.encode())])
+
+
 def check_primitives(seed: int = 0) -> dict[str, float]:
-    """Finite-difference error for every differentiable primitive, small shapes."""
-    rng = np.random.default_rng(seed)
+    """Finite-difference error for every differentiable primitive, small shapes.
+
+    Each probe, or group of probes that share inputs, draws its inputs and
+    then its loss projection from its own :func:`_probe_rng`, so adding,
+    removing or reordering one probe leaves every other probe's inputs and
+    error as they were.
+    """
     out = {}
 
     def run(name, f, x):
         out[name] = finite_diff_check(f, x)
 
+    def one(name, f, shape):
+        run(name, f, _t(_probe_rng(seed, name), shape))
+
+    rng = _probe_rng(seed, "conv2d")
     x4 = _t(rng, (2, 3, 6, 6))
     w = _t(rng, (4, 3, 3, 3))
     b = _t(rng, (4,))
     run("conv2d.x", lambda v: ops.tsum(ops.square(ops.conv2d(v, w, b))), x4)
     run("conv2d.w", lambda v: ops.tsum(ops.square(ops.conv2d(x4, v, b))), w)
     run("conv2d.b", lambda v: ops.tsum(ops.square(ops.conv2d(x4, w, v))), b)
+    rng = _probe_rng(seed, "conv2d.1x1")
     w1 = _t(rng, (6, 3, 1, 1))
     run("conv2d.1x1", lambda v: ops.tsum(ops.square(ops.conv2d(v, w1))), _t(rng, (2, 3, 5, 5)))
+    rng = _probe_rng(seed, "conv2d.depthwise")
     xd = _t(rng, (2, 4, 5, 5))
     wd = _t(rng, (4, 1, 3, 3))
     run("conv2d.depthwise.x", lambda v: ops.tsum(ops.square(ops.conv2d(v, wd, groups=4))), xd)
     run("conv2d.depthwise.w", lambda v: ops.tsum(ops.square(ops.conv2d(xd, v, groups=4))), wd)
+    rng = _probe_rng(seed, "conv2d.depthwise5")
     wd5 = _t(rng, (4, 1, 5, 5))
     run("conv2d.depthwise5", lambda v: ops.tsum(ops.square(ops.conv2d(v, wd5, groups=4))), _t(rng, (2, 4, 6, 6)))
 
+    rng = _probe_rng(seed, "linear")
     lw, lb, lx = _t(rng, (4, 6)), _t(rng, (4,)), _t(rng, (3, 6))
     run("linear.x", lambda v: ops.tsum(ops.square(ops.linear(v, lw, lb))), lx)
     run("linear.w", lambda v: ops.tsum(ops.square(ops.linear(lx, v, lb))), lw)
+    rng = _probe_rng(seed, "matmul")
     mb = _t(rng, (2, 2, 5, 3))
     run("matmul", lambda v: ops.tsum(ops.square(ops.matmul(v, mb))), _t(rng, (2, 2, 4, 5)))
 
-    xm = _t(rng, (3, 7))
-    run("softmax", lambda v: ops.tsum(ops.square(ops.softmax(v, axis=-1))), xm)
-    run("gelu", lambda v: ops.tsum(ops.square(ops.gelu(v))), _t(rng, (3, 7)))
-    run("relu", lambda v: ops.tsum(ops.square(ops.relu(v))), _t(rng, (3, 7)))
-    run("sigmoid", lambda v: ops.tsum(ops.square(ops.sigmoid(v))), _t(rng, (3, 7)))
-    run("exp", lambda v: ops.tsum(ops.square(ops.exp(v))), _t(rng, (3, 4)))
-    run("abs", lambda v: ops.tsum(ops.absolute(v)), _t(rng, (3, 4)))
+    one("softmax", lambda v: ops.tsum(ops.square(ops.softmax(v, axis=-1))), (3, 7))
+    one("gelu", lambda v: ops.tsum(ops.square(ops.gelu(v))), (3, 7))
+    one("relu", lambda v: ops.tsum(ops.square(ops.relu(v))), (3, 7))
+    one("sigmoid", lambda v: ops.tsum(ops.square(ops.sigmoid(v))), (3, 7))
+    one("exp", lambda v: ops.tsum(ops.square(ops.exp(v))), (3, 4))
+    one("abs", lambda v: ops.tsum(ops.absolute(v)), (3, 4))
 
+    rng = _probe_rng(seed, "normalize.layer")
     nl = _t(rng, (2, 4, 3, 3))
     run("normalize.layer", lambda v, p=_projector(rng): p(ops.standardize(v, 1, 1e-5)), nl)
+    rng = _probe_rng(seed, "normalize.group")
     ng = _t(rng, (2, 2, 2, 3, 3))  # (n, groups, channels per group, h, w)
     run("normalize.group", lambda v, p=_projector(rng): p(ops.standardize(v, (2, 3, 4), 1e-5)), ng)
 
-    run("gap", lambda v: ops.tsum(ops.square(ops.gap(v))), _t(rng, (2, 3, 4, 4)))
-    run("mean_std", lambda v: ops.tsum(ops.square(ops.mean_std(v))), _t(rng, (2, 3, 4, 4)))
+    one("gap", lambda v: ops.tsum(ops.square(ops.gap(v))), (2, 3, 4, 4))
+    one("mean_std", lambda v: ops.tsum(ops.square(ops.mean_std(v))), (2, 3, 4, 4))
 
+    rng = _probe_rng(seed, "fft2d")
     xf = _t(rng, (1, 2, 6, 5))
     run("fft2d", lambda v, p=_projector(rng): p(ops.fft2d(v)), xf)
-    run("ifft2d", lambda v: ops.tsum(ops.square(ops.ifft2d(v))), _t(rng, (1, 4, 5, 7)))
+    one("ifft2d", lambda v: ops.tsum(ops.square(ops.ifft2d(v))), (1, 4, 5, 7))
 
-    run("pixel_unshuffle", lambda v: ops.tsum(ops.square(ops.pixel_unshuffle(v, 2))), _t(rng, (1, 2, 4, 4)))
-    run("pixel_shuffle", lambda v: ops.tsum(ops.square(ops.pixel_shuffle(v, 2))), _t(rng, (1, 8, 2, 2)))
-    run("concat", lambda v: ops.tsum(ops.square(ops.concat([v, v], axis=1))), _t(rng, (2, 3, 2, 2)))
+    one("pixel_unshuffle", lambda v: ops.tsum(ops.square(ops.pixel_unshuffle(v, 2))), (1, 2, 4, 4))
+    one("pixel_shuffle", lambda v: ops.tsum(ops.square(ops.pixel_shuffle(v, 2))), (1, 8, 2, 2))
+    one("concat", lambda v: ops.tsum(ops.square(ops.concat([v, v], axis=1))), (2, 3, 2, 2))
+    # both operands broadcast: a over the rows, b over the batch and the columns
+    rng = _probe_rng(seed, "sub")
+    sa, sb = _t(rng, (2, 1, 4)), _t(rng, (3, 1))
+    run("sub.a", lambda v: ops.tsum(ops.square(ops.sub(v, sb))), sa)
+    run("sub.b", lambda v: ops.tsum(ops.square(ops.sub(sa, v))), sb)
+    rng = _probe_rng(seed, "div.denominator")
     dv = Tensor(rng.normal(size=(3, 5)) + 3.0, requires_grad=True)
     dn = Tensor(rng.normal(size=(3, 5)))
     run("div.denominator", lambda v: ops.tsum(ops.square(ops.div(dn, v))), dv)
     # both halves feed the loss: the GELU half and the half it gates
-    run("gelu_gate", lambda v, p=_projector(rng): p(ops.gelu_gate(v)), _t(rng, (2, 6, 3, 3)))
+    rng = _probe_rng(seed, "gelu_gate")
+    xg = _t(rng, (2, 6, 3, 3))
+    run("gelu_gate", lambda v, p=_projector(rng): p(ops.gelu_gate(v)), xg)
     # two heads of three channels; positive temperatures, as exp() makes them
+    rng = _probe_rng(seed, "channel_attention")
     qkv = _t(rng, (2, 18, 3, 4))
     tau = Tensor(rng.uniform(0.5, 2.0, size=(2, 2)), requires_grad=True)
     run("channel_attention", lambda v, p=_projector(rng): p(ops.channel_attention(v, 2, tau)), qkv)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops
 from .attention import TransformerBlock
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_finite
 from .fusion import GatedSkipFusion, PlainSkipFusion
 from .layers import Conv2d
 from .params import ParamStore
@@ -57,6 +57,7 @@ class ModelConfig:
         return self.use_cgdm or self.wants_temperature() or self.wants_gate()
 
     def validate(self):
+        require_finite(self)
         if len(self.enc_blocks) != 4 or len(self.heads) != 4:
             raise ConfigError("enc_blocks and heads must have one entry per level (4)")
         if self.base_channels < 4:
@@ -200,8 +201,8 @@ class RestorationModel:
         if x.ndim != 4 or x.shape[1] != 3:
             raise ShapeError(f"expected (n, 3, h, w) input, got {x.shape}")
         n, _, h, w = x.shape
-        if h % self.DOWNSCALE or w % self.DOWNSCALE:
-            raise ShapeError(f"spatial dims must be multiples of {self.DOWNSCALE}, got {h}x{w}")
+        if h < 1 or w < 1 or h % self.DOWNSCALE or w % self.DOWNSCALE:
+            raise ShapeError(f"spatial dims must be positive multiples of {self.DOWNSCALE}, got {h}x{w}")
         if x.data.dtype != self.store.dtype:
             x = Tensor(x.data.astype(self.store.dtype), requires_grad=x.requires_grad)
 

@@ -1,9 +1,17 @@
 """Differentiable operations.
 
-Free functions over :class:`~restorekit.tensor.Tensor`; each builds one (or
-a few) tape nodes.  Convolution, softmax, standardize, mean_std, FFT,
-pixel shuffles, gelu_gate and channel_attention are single nodes with
-hand-written backwards.  gap reuses tmean and inherits its gradient.
+Free functions over :class:`~restorekit.tensor.Tensor`; each builds one
+tape node.  Convolution, softmax, standardize, mean_std, FFT, gelu_gate and
+channel_attention are single nodes with hand-written backwards.  gap reuses
+tmean and inherits its gradient.
+
+The elementwise, shape and reduction ops state only a value and a gradient
+rule; two private builders wire their nodes.  _binary (add, sub, mul, div)
+sums each operand's gradient back to its shape, and _unary takes
+grad(g, x, y) for the one-input ops, the pixel shuffles (each one's
+backward is the other's forward) and, through _reduce, tsum and tmean.
+Both call make_node through this module's global, so a wrapper patched
+over ``ops.make_node`` sees every node.
 
 Conventions:
   - conv2d computes stride-1 "same" cross-correlation (no kernel flip): an
@@ -119,123 +127,88 @@ def _operands(a, b):
     return wrap(a, b), wrap(b, a)
 
 
+def _binary(a, b, data, ga, gb, op: str) -> Tensor:
+    """A two-input op's node; ``ga(g)``, ``gb(g)`` are its operands' gradients before unbroadcasting."""
+    def backward(g):
+        accumulate_grad(a, _unbroadcast(ga(g), a.data.shape))
+        accumulate_grad(b, _unbroadcast(gb(g), b.data.shape))
+
+    return make_node(data, (a, b), backward, op)
+
+
+def _unary(a, data, grad, op: str) -> Tensor:
+    """A one-input op's node; ``grad(g, x, y)`` is its gradient from g, input x and output y."""
+    def backward(g):
+        accumulate_grad(a, grad(g, a.data, data))
+
+    return make_node(data, (a,), backward, op)
+
+
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
-    data = a.data + b.data
-
-    def backward(g):
-        accumulate_grad(a, _unbroadcast(g, a.data.shape))
-        accumulate_grad(b, _unbroadcast(g, b.data.shape))
-
-    return make_node(data, (a, b), backward, "add")
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g, "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
-    data = a.data - b.data
-
-    def backward(g):
-        accumulate_grad(a, _unbroadcast(g, a.data.shape))
-        accumulate_grad(b, _unbroadcast(-g, b.data.shape))
-
-    return make_node(data, (a, b), backward, "sub")
+    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g, "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    data = a.data * b.data
-
-    def backward(g):
-        accumulate_grad(a, _unbroadcast(g * b.data, a.data.shape))
-        accumulate_grad(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return make_node(data, (a, b), backward, "mul")
+    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data, "mul")
 
 
 def div(a, b) -> Tensor:
     a, b = _operands(a, b)
-    data = a.data / b.data
-
-    def backward(g):
-        accumulate_grad(a, _unbroadcast(g / b.data, a.data.shape))
-        accumulate_grad(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return make_node(data, (a, b), backward, "div")
+    return _binary(a, b, a.data / b.data, lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data), "div")
 
 
 def neg(a) -> Tensor:
     a = astensor(a)
-
-    def backward(g):
-        accumulate_grad(a, -g)
-
-    return make_node(-a.data, (a,), backward, "neg")
+    return _unary(a, -a.data, lambda g, *_: -g, "neg")
 
 
 def exp(a) -> Tensor:
     a = astensor(a)
-    data = np.exp(a.data)
-
-    def backward(g):
-        accumulate_grad(a, g * data)
-
-    return make_node(data, (a,), backward, "exp")
+    return _unary(a, np.exp(a.data), lambda g, x, y: g * y, "exp")
 
 
 def sqrt(a) -> Tensor:
     a = astensor(a)
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        accumulate_grad(a, g / (2.0 * data))
-
-    return make_node(data, (a,), backward, "sqrt")
+    return _unary(a, np.sqrt(a.data), lambda g, x, y: g / (2.0 * y), "sqrt")
 
 
 def square(a) -> Tensor:
     a = astensor(a)
-
-    def backward(g):
-        accumulate_grad(a, g * (2.0 * a.data))
-
-    return make_node(a.data * a.data, (a,), backward, "square")
+    return _unary(a, a.data * a.data, lambda g, x, y: g * (2.0 * x), "square")
 
 
 def absolute(a) -> Tensor:
     """Elementwise |x|; subgradient 0 at exactly 0."""
     a = astensor(a)
+    return _unary(a, np.abs(a.data), lambda g, x, y: g * np.sign(x), "abs")
 
-    def backward(g):
-        accumulate_grad(a, g * np.sign(a.data))
 
-    return make_node(np.abs(a.data), (a,), backward, "abs")
+def _reduce(a, data, axis, keepdims: bool, count, op: str) -> Tensor:
+    """A sum's (``count`` None) or mean's node; the backward spreads g or g / count over ``axis``."""
+    def grad(g, x, y):
+        if not keepdims and axis is not None:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g if count is None else g / count, x.shape).copy()
+
+    return _unary(a, data, grad, op)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        gg = g
-        if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis)
-        accumulate_grad(a, np.broadcast_to(gg, a.data.shape).copy())
-
-    return make_node(data, (a,), backward, "sum")
+    return _reduce(a, a.data.sum(axis=axis, keepdims=keepdims), axis, keepdims, None, "sum")
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = astensor(a)
     data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size / data.size
-
-    def backward(g):
-        gg = g
-        if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis)
-        accumulate_grad(a, np.broadcast_to(gg / count, a.data.shape).copy())
-
-    return make_node(data, (a,), backward, "mean")
+    return _reduce(a, data, axis, keepdims, a.data.size / data.size, "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +217,12 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = astensor(a)
-
-    def backward(g):
-        accumulate_grad(a, g.reshape(a.data.shape))
-
-    return make_node(a.data.reshape(shape), (a,), backward, "reshape")
+    return _unary(a, a.data.reshape(shape), lambda g, x, y: g.reshape(x.shape), "reshape")
 
 
 def transpose(a, axes) -> Tensor:
     a = astensor(a)
-    inv = np.argsort(axes)
-
-    def backward(g):
-        accumulate_grad(a, g.transpose(inv))
-
-    return make_node(a.data.transpose(axes), (a,), backward, "transpose")
+    return _unary(a, a.data.transpose(axes), lambda g, *_: g.transpose(np.argsort(axes)), "transpose")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -338,11 +302,7 @@ def linear(x, weight, bias) -> Tensor:
 
 def relu(a) -> Tensor:
     a = astensor(a)
-
-    def backward(g):
-        accumulate_grad(a, g * (a.data > 0))
-
-    return make_node(np.maximum(a.data, 0), (a,), backward, "relu")
+    return _unary(a, np.maximum(a.data, 0), lambda g, x, y: g * (x > 0), "relu")
 
 
 def sigmoid(a) -> Tensor:
@@ -351,11 +311,7 @@ def sigmoid(a) -> Tensor:
     # e = exp(-|x|) never overflows; 1/(1+e) for x >= 0, e/(1+e) below
     e = np.exp(-np.abs(x))
     data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def backward(g):
-        accumulate_grad(a, g * data * (1.0 - data))
-
-    return make_node(data, (a,), backward, "sigmoid")
+    return _unary(a, data, lambda g, x, y: g * y * (1.0 - y), "sigmoid")
 
 
 def _phi(x: np.ndarray, out: np.ndarray, tmp: np.ndarray):
@@ -908,6 +864,20 @@ def ifft2d(z) -> Tensor:
 # resampling
 # ---------------------------------------------------------------------------
 
+def _space_to_depth(a: np.ndarray, r: int) -> np.ndarray:
+    """(n, c, h, w) -> (n, c*r^2, h/r, w/r): channel c*r*r + u*r + v holds subpixel (u, v)."""
+    n, c, h, w = a.shape
+    t = a.reshape(n, c, h // r, r, w // r, r)
+    return np.ascontiguousarray(t.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * r * r, h // r, w // r))
+
+
+def _depth_to_space(a: np.ndarray, r: int) -> np.ndarray:
+    """(n, c*r^2, h, w) -> (n, c, h*r, w*r), the inverse of :func:`_space_to_depth`."""
+    n, crr, h, w = a.shape
+    t = a.reshape(n, crr // (r * r), r, r, h, w)
+    return np.ascontiguousarray(t.transpose(0, 1, 4, 2, 5, 3).reshape(n, crr // (r * r), h * r, w * r))
+
+
 def pixel_unshuffle(x, r: int) -> Tensor:
     """Space-to-depth: (n,c,h,w) -> (n, c*r^2, h/r, w/r), row-major subpixels.
 
@@ -917,19 +887,7 @@ def pixel_unshuffle(x, r: int) -> Tensor:
     n, c, h, w = x.shape
     if h % r or w % r:
         raise ShapeError(f"spatial dims {h}x{w} not divisible by r={r}")
-
-    def fwd(a):
-        t = a.reshape(n, c, h // r, r, w // r, r)
-        return np.ascontiguousarray(t.transpose(0, 1, 3, 5, 2, 4).reshape(n, c * r * r, h // r, w // r))
-
-    def inv(a):
-        t = a.reshape(n, c, r, r, h // r, w // r)
-        return np.ascontiguousarray(t.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h, w))
-
-    def backward(g):
-        accumulate_grad(x, inv(g))
-
-    return make_node(fwd(x.data), (x,), backward, "pixel_unshuffle")
+    return _unary(x, _space_to_depth(x.data, r), lambda g, *_: _depth_to_space(g, r), "pixel_unshuffle")
 
 
 def pixel_shuffle(x, r: int) -> Tensor:
@@ -938,17 +896,4 @@ def pixel_shuffle(x, r: int) -> Tensor:
     n, crr, h, w = x.shape
     if crr % (r * r):
         raise ShapeError(f"channel dim {crr} not divisible by r^2={r * r}")
-    c = crr // (r * r)
-
-    def fwd(a):
-        t = a.reshape(n, c, r, r, h, w)
-        return np.ascontiguousarray(t.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h * r, w * r))
-
-    def inv(a):
-        t = a.reshape(n, c, h, r, w, r)
-        return np.ascontiguousarray(t.transpose(0, 1, 3, 5, 2, 4).reshape(n, crr, h, w))
-
-    def backward(g):
-        accumulate_grad(x, inv(g))
-
-    return make_node(fwd(x.data), (x,), backward, "pixel_shuffle")
+    return _unary(x, _depth_to_space(x.data, r), lambda g, *_: _space_to_depth(g, r), "pixel_shuffle")

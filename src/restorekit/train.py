@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ops
 from .checkpoint import load_checkpoint, save_model, split_optim
-from .errors import ConfigError, DataError, NumericsError, UsageError
+from .errors import ConfigError, DataError, NumericsError, UsageError, require_finite
 from .params import ParamStore
 from .tensor import Tensor, finite_trace
 
@@ -34,20 +34,16 @@ class TrainConfig:
     batch_size: int = 8
     lr0: float = 2e-4
     lr_min: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     lambda_fourier: float = 0.1
     seed: int = 0
     checkpoint_every: int = 0   # 0: only the final checkpoint
 
     def validate(self):
+        require_finite(self)
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be positive")
         if self.lr0 < 0 or self.lr_min < 0 or self.lr_min > max(self.lr0, 1e-12):
             raise ConfigError("need 0 <= lr_min <= lr0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("betas must lie in [0, 1)")
         if self.lambda_fourier < 0:
             raise ConfigError("lambda_fourier must be >= 0")
         if self.checkpoint_every < 0:
@@ -355,7 +351,7 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
         t2 = time.perf_counter()
         lr = cosine_lr(step, cfg.steps, cfg.lr0, cfg.lr_min)
         t3 = time.perf_counter()
-        grad_norm = adam_step(store, state, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        grad_norm = adam_step(store, state, lr)
         t4 = time.perf_counter()
         record = {"step": step, "lr": lr, "loss": loss_val, "pixel_loss": parts["pixel"],
                   "fourier_loss": parts["fourier"], "grad_norm": grad_norm, "wall_ms": (t4 - t0) * 1000.0,

@@ -150,10 +150,25 @@ def test_restore_checkpoint_without_tensor_list_exits_three(tmp_path, rng):
                 "--output", str(tmp_path / "o.ppm")]) == 3
 
 
+@pytest.mark.parametrize("field", ["payload_bytes", "payload_crc32"])
+def test_restore_checkpoint_without_a_payload_check_exits_three(tmp_path, capsys, rng, field):
+    save_model(RestorationModel(tiny_config()), tmp_path / "m")
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    del manifest[field]
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    write_ppm(tmp_path / "in.ppm", rng.uniform(0.2, 0.8, size=(16, 16, 3)))
+    assert run(["restore", "--checkpoint", str(tmp_path / "m"),
+                "--input", str(tmp_path / "in.ppm"),
+                "--output", str(tmp_path / "o.ppm")]) == 3
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o.ppm").exists()
+
+
 # ffn_expansion 0.01 gives the feed-forward 0 hidden channels, so its
-# depthwise conv 0 groups; a negative seed is refused by numpy's generators
+# depthwise conv 0 groups; a negative seed is refused by numpy's generators;
+# json writes nan as NaN and reads it back
 @pytest.mark.parametrize("field,value", [("gn_groups", 0), ("se_reduction", 0), ("heads", [1, 0, 2, 2]),
-                                         ("ffn_expansion", 0.01), ("seed", -1)])
+                                         ("ffn_expansion", 0.01), ("seed", -1), ("ffn_expansion", float("nan"))])
 def test_restore_checkpoint_with_a_zero_divisor_exits_two(tmp_path, capsys, rng, field, value):
     save_model(RestorationModel(tiny_config()), tmp_path / "m")
     manifest = json.loads((tmp_path / "m.json").read_text())
@@ -175,6 +190,24 @@ def test_negative_seed_exits_two(tmp_path, capsys, argv):
     assert run(argv + ["--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["make-data", "--task", "derain", "--angle-deg", "nan"], "angle_deg"),
+    (["make-data", "--task", "derain", "--streak-length", "inf"], "streak_length"),
+    (["make-data", "--sigma", "inf"], "sigma"),
+    (["make-data", "--task", "lowlight", "--gamma", "nan"], "gamma"),
+    (["train", "--lr0", "nan"], "lr0"),
+    (["train", "--lr0", "inf"], "lr0"),
+    (["train", "--lambda-fourier", "nan"], "lambda_fourier"),
+    (["train", "--sigma", "nan"], "sigma"),
+], ids=lambda v: f"{v[0]}{v[-2]}={v[-1]}" if isinstance(v, list) else None)
+def test_a_non_finite_float_flag_exits_two(tmp_path, capsys, argv, field):
+    out = tmp_path / "o"
+    sizes = ["--steps", "1", "--patch", "16", "--holdout", "0"] if argv[0] == "train" else []
+    assert run(argv[:1] + ["--out", str(out), "--count", "1"] + sizes + argv[1:]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_restore_nan_checkpoint_exits_four(tmp_path, rng):
@@ -406,3 +439,11 @@ def test_ablate_writes_json_table(tmp_path):
 
 def test_ablate_bad_image_size_exits_two():
     assert run(["ablate", "--size", "tiny", "--image", "30", "--dry-run"]) == 2
+
+
+@pytest.mark.parametrize("image", ["0", "-8"])
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+def test_ablate_image_must_be_a_positive_multiple_of_eight(capsys, image, dry_run):
+    # 0 and -8 are multiples of 8; they used to reach the forward and die with a traceback
+    assert run(["ablate", "--size", "tiny", "--image", image] + dry_run) == 2
+    assert "positive multiple of 8" in capsys.readouterr().err

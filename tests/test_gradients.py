@@ -77,5 +77,30 @@ def test_primitive_report_covers_the_op_set():
         "conv2d.x", "conv2d.w", "conv2d.b", "conv2d.1x1", "conv2d.depthwise.x", "conv2d.depthwise.w",
         "conv2d.depthwise5", "linear.x", "linear.w", "matmul", "softmax", "gelu", "relu", "sigmoid",
         "exp", "abs", "normalize.layer", "normalize.group", "gap", "mean_std", "fft2d", "ifft2d",
-        "pixel_unshuffle", "pixel_shuffle", "concat", "div.denominator", "gelu_gate",
+        "pixel_unshuffle", "pixel_shuffle", "concat", "sub.a", "sub.b", "div.denominator", "gelu_gate",
         "channel_attention", "channel_attention.tau"}
+
+
+def probe_inputs(monkeypatch, seed):
+    """Each primitive probe's input, by name, without running the finite differences."""
+    seen = []
+    monkeypatch.setattr(gradcheck, "finite_diff_check", lambda f, x: seen.append(x.data.copy()) or 0.0)
+    return dict(zip(gradcheck.check_primitives(seed), seen))
+
+
+def test_a_probes_inputs_depend_only_on_the_seed_and_its_name(monkeypatch):
+    base = probe_inputs(monkeypatch, 0)
+    real_projector = gradcheck._projector
+
+    def greedy_projector(rng):
+        rng.normal()  # one draw more than the real projector makes
+        return real_projector(rng)
+
+    # with one generator shared in sequence, the extra draws would move every later probe
+    monkeypatch.setattr(gradcheck, "_projector", greedy_projector)
+    moved = probe_inputs(monkeypatch, 0)
+    assert set(moved) == set(base)
+    for name, x in moved.items():
+        assert np.array_equal(x, base[name]), name
+    for name, x in probe_inputs(monkeypatch, 1).items():
+        assert not np.array_equal(x, base[name]), name

@@ -111,6 +111,10 @@ def test_forward_rejects_bad_shapes(tiny):
         tiny(Tensor(np.zeros((1, 4, 64, 64))))
     with pytest.raises(ShapeError):
         tiny(Tensor(np.zeros((3, 64, 64))))
+    # 0 % 8 == 0: a zero side passed the multiple-of-8 check and failed deep in a conv
+    for shape in ((1, 3, 0, 8), (1, 3, 8, 0), (1, 3, 0, 0)):
+        with pytest.raises(ShapeError, match="positive multiples of 8"):
+            tiny(Tensor(np.zeros(shape)))
 
 
 def test_toggles_reduce_parameter_count():
@@ -226,3 +230,6 @@ def test_config_by_name_and_validation():
         ModelConfig(heads=(5, 2, 4, 8)).validate()  # 5 does not divide 48
     with pytest.raises(ConfigError):
         ModelConfig(enc_blocks=(1, 2, 3)).validate()
+    for field in ("ffn_expansion", "norm_eps"):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            ModelConfig(**{field: float("nan")}).validate()

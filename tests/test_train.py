@@ -356,6 +356,20 @@ def test_resume_reproduces_uninterrupted_trajectory(tmp_path):
     np.testing.assert_allclose(cont.losses, full.losses[3:], rtol=0, atol=1e-6)
 
 
+def test_resume_ignores_adam_fields_an_older_checkpoint_records(tmp_path):
+    """Checkpoints once stored beta1, beta2 and adam_eps in their train config; they still resume."""
+    pairs = small_pairs()
+    full = train_loop(quick_model(), pairs, quick_cfg(steps=6, checkpoint_every=3),
+                      out_dir=tmp_path / "full")
+    manifest_path = tmp_path / "full" / "ckpt_step000003.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["train_state"]["train_config"].update(beta1=0.9, beta2=0.999, adam_eps=1e-8)
+    manifest_path.write_text(json.dumps(manifest))
+    cont = train_loop(quick_model(), pairs, quick_cfg(steps=6),
+                      resume=tmp_path / "full" / "ckpt_step000003")
+    assert cont.losses == full.losses[3:]
+
+
 def test_resume_logs_each_step_once(tmp_path):
     """A crash after the step-2 checkpoint left steps 2-3 in the report."""
     pairs = small_pairs()
@@ -459,9 +473,11 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(lr0=1e-4, lr_min=1e-3).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(beta1=1.0).validate()
-    with pytest.raises(ConfigError):
         TrainConfig(lambda_fourier=-0.1).validate()
+    for field in ("lr0", "lr_min", "lambda_fourier"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match=f"{field} must be finite"):
+                TrainConfig(**{field: value}).validate()
 
 
 # -- checkpoint container ------------------------------------------------------------
@@ -621,6 +637,23 @@ def test_checkpoint_rejects_a_manifest_without_a_tensor_list(tmp_path, edit):
     (tmp_path / "ck.json").write_text(json.dumps(manifest))
     with pytest.raises(DataError, match="tensors"):
         load_checkpoint(stem)
+
+
+@pytest.mark.parametrize("field", ["payload_bytes", "payload_crc32"])
+@pytest.mark.parametrize("edit", [
+    lambda m, f: m.pop(f),
+    lambda m, f: m.update({f: -1}),
+    lambda m, f: m.update({f: True}),
+    lambda m, f: m.update({f: str(m[f])}),
+], ids=["missing", "negative", "bool", "string"])
+def test_checkpoint_needs_the_payload_size_and_checksum(tmp_path, field, edit):
+    stem = save_model(RestorationModel(tiny_config()), tmp_path / "m")
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    edit(manifest, field)
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    for load in (load_checkpoint, load_model):
+        with pytest.raises(DataError, match=field):
+            load(stem)
 
 
 def test_load_model_rejects_a_manifest_without_config(tmp_path):
