@@ -107,7 +107,7 @@ def _projector(rng):
 
 
 def _probe_rng(seed: int, name: str) -> np.random.Generator:
-    """The generator of one primitive probe, or group sharing inputs: from ``seed`` and ``name`` alone."""
+    """The generator of one probe, or group sharing inputs: from ``seed`` and ``name`` alone."""
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
@@ -213,16 +213,22 @@ def _check_module(loss_fn, inputs, store, rng) -> float:
 
 
 def check_modules(seed: int = 0) -> dict[str, float]:
-    """End-module gradients: prompts, attention block, bottleneck, skip fusion."""
+    """End-module gradients: prompts, attention block, bottleneck, skip fusion.
+
+    Each module draws its inputs, its loss projection and the parameter
+    entries it samples from its own :func:`_probe_rng`, named by its report
+    key, so a change to one module's draws leaves every other module's
+    inputs and error as they were.
+    """
     from .attention import TransformerBlock
     from .fusion import GatedSkipFusion
     from .params import ParamStore
     from .prompts import PromptConfig, PromptGenerator
     from .spectral import DualDomainBottleneck
 
-    rng = np.random.default_rng(seed)
     out = {}
 
+    rng = _probe_rng(seed, "prompts")
     store = ParamStore(seed=seed, dtype=np.float64)
     gen = PromptGenerator(store, "p", PromptConfig(channels=4, num_scales=3, global_dim=8))
     x = _t(rng, (2, 4, 8, 8))
@@ -234,6 +240,7 @@ def check_modules(seed: int = 0) -> dict[str, float]:
 
     out["prompts"] = _check_module(prompt_loss, [x], store, rng)
 
+    rng = _probe_rng(seed, "attention_block")
     store = ParamStore(seed=seed + 1, dtype=np.float64)
     block = TransformerBlock(store, "b", channels=4, heads=2, prompt_dim=6)
     xb = _t(rng, (2, 4, 8, 8))
@@ -241,6 +248,7 @@ def check_modules(seed: int = 0) -> dict[str, float]:
     proj = _projector(rng)
     out["attention_block"] = _check_module(lambda _v: proj(block(xb, pb)), [xb, pb], store, rng)
 
+    rng = _probe_rng(seed, "dual_domain")
     store = ParamStore(seed=seed + 2, dtype=np.float64)
     neck = DualDomainBottleneck(store, "n", channels=4, global_dim=6)
     xn = _t(rng, (2, 4, 8, 8))
@@ -248,6 +256,7 @@ def check_modules(seed: int = 0) -> dict[str, float]:
     proj = _projector(rng)
     out["dual_domain"] = _check_module(lambda _v: proj(neck(xn, pn)), [xn, pn], store, rng)
 
+    rng = _probe_rng(seed, "skip_fusion")
     store = ParamStore(seed=seed + 3, dtype=np.float64)
     fuse = GatedSkipFusion(store, "f", channels=4)
     fe = _t(rng, (2, 4, 8, 8))

@@ -29,22 +29,20 @@ Conventions:
     the weight gradient.  The walk takes one block of source channels at a
     time, whole depthwise channels or a chunk of a dense conv's input
     channels whose partial sums accumulate, each block's scratch about
-    DW_BLOCK_BYTES so that it stays in L2.  Padding is block-local: each
-    block is zero-padded into a reused scratch, flattened so that output
-    rows are computed at the padded width w + 2*(k//2) (the k-1 columns
-    that wrap into the next row are cropped; one extra zero row keeps the
-    last tap's run in bounds), its k*k shifted runs are copied into a
-    column matrix in one copy, from a read-only strided window over the
-    scratch built once per call, one matmul sums the taps, and the cropped
-    sum, plus the bias, is written straight into the output.  The matmul
-    writes a dense conv's output rows in runs, so that its sum at the
-    padded width is block-sized too, and the backward pads the conv's
-    input in blocks of channels as well.  A 1x1 reads the map itself as
-    its column matrix.  No column matrix or padded copy of a whole map is
-    made.  The taps are summed in BLAS order, not tap by tap, but each
-    depthwise channel's sum is the same call whatever block it falls in, so
-    its result does not depend on the block size, and reruns are
-    bit-identical.
+    DW_BLOCK_BYTES so that it stays in L2.  Each channel is one flat run
+    of h*w pixels at the map's own width: the block is copied once into a
+    reused scratch with k//2 zero rows above and below, one copy from a
+    read-only strided window over it, built once per call, fills a column
+    matrix with the k*k shifted runs, and the entries that a horizontal
+    shift wrapped into the neighbouring row are zeroed.  One matmul then
+    sums the taps straight into the output; the bias is added once at the
+    end.  A dense conv's later chunks sum into one accumulator of a run of
+    output rows and add it to the output.  The weight gradient reads the
+    conv's input in place.  A 1x1 reads the map itself as its column
+    matrix.  No column matrix or padded copy of a whole map is made.  The
+    taps are summed in BLAS order, not tap by tap, but each depthwise
+    channel's sum is the same call whatever block it falls in, so its
+    result does not depend on the block size, and reruns are bit-identical.
     The network downsamples with pixel_unshuffle, never a stride.
   - Ops keep the dtype of their tensor operands: a float32 graph computes
     and differentiates in float32, a float64 graph in float64.  A Python
@@ -86,16 +84,17 @@ _AS_HALF_A = tuple(0.5 * a for a in (0.254829592, -0.284496736, 1.421413741, -1.
 # a full-preset 64x64 restore (float32) 32 K took about 59 ms, 64 K 60,
 # 16 K 68 and 8 K 116.
 GELU_CHUNK = 32 * 1024
-# Scratch bytes of one block of a conv's source channels (see _walk): the
-# forward's column matrix, or the backward's padded output gradient, column
-# matrix, matmul output and input at the padded width, per channel.  It
-# sizes depthwise blocks, dense input-channel chunks, the runs of dense
-# output rows one matmul writes and of input channels the dense backward
-# pads (no call of the benchmark's 32 px training or 64 px restore splits
-# either run), but was tuned on depthwise calls only: over the
-# network's call lists (float32, one BLAS thread) 1 MB was fastest for both
-# passes.  The forward took 35-43 % longer at 256 KB, 5-25 % at 512 KB and
-# 3-17 % at 2 MB; the backward 33-36 %, 4-15 % and 2-10 %.
+# Bytes of one block of a conv's source channels (see _walk): the source
+# with its zero rows, its column matrix and the output run its matmul
+# writes, per channel, in either pass.  It sizes depthwise blocks, dense
+# input-channel chunks and the runs of output rows one matmul sums into a
+# dense conv's accumulator (no call of the benchmark's 32 px training or
+# 64 px restore splits its rows), but was tuned on depthwise calls only:
+# over the network's call lists (float32, one BLAS thread) 1 MB was fastest
+# for both passes.  Over its dw3 calls 512 KB took 5-15 % longer and 2 MB
+# 13-17 %.  Without the output run, the tiny preset's batch-8 32 px
+# backward blocks grew to 885 KB column matrices that did not fit memory the
+# heap had freed, and train-tiny's peak RSS rose 0.8 MB.
 DW_BLOCK_BYTES = 1024 * 1024
 
 
@@ -572,35 +571,27 @@ def channel_attention(qkv, heads: int, tau=None) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _pad_block(buf: np.ndarray, src: np.ndarray, top: int, left: int):
-    """Copy NCHW ``src`` into the zero-bordered scratch ``buf`` at (top, left).
+def _tap_window(sbuf: np.ndarray, k: int, w: int, run: int):
+    """Read-only (n, step, k, k, run) view of the scratch ``sbuf``: the column matrix.
 
-    ``buf`` is (n, step, H, W) with step >= src's channels and is zeroed
-    once when allocated; only this interior is ever written, so the borders
-    stay zero from block to block.  Returns the filled channels.
-    """
-    n, c, h, w = src.shape
-    blk = buf[:, :c]
-    blk[:, :, top:top + h, left:left + w] = src
-    return blk
-
-
-def _tap_window(sbuf: np.ndarray, k: int, wp: int, run: int):
-    """Read-only (n, step, k, k, run) view of the padded scratch ``sbuf``: the column matrix.
-
-    Entry [:, j, u, v] is channel j's run of ``run`` elements of the
-    flattened (H, wp) plane starting at u*wp + v, its shift by tap (u, v).
-    The last tap's run ends inside the extra zero row, and the ndarray
-    constructor refuses a view that would reach past ``sbuf``.  A view: it
-    reads whatever block was padded last.  It is built directly rather
-    than with sliding_window_view, whose dozen-odd temporary objects a
-    call (14 us against 1 us) also let train-tiny's peak RSS creep up by
-    0.5-1.8 MB over a 20 s run.
+    ``sbuf`` is (n, step, run + 2*(p*w + p)) with p = k//2: per channel, a
+    flattened h*w plane with p*w + p zeros (p rows and p more) before and
+    after it.
+    Entry [:, j, u, v] is channel j's run of ``run`` elements starting at
+    u*w + v, its shift by tap (u, v): output pixel (y, x) reads pixel
+    (y + u - p, x + v - p), or a zero above or below the map.  Where x + v - p
+    leaves the row, the run reads the neighbouring row instead, and the
+    walk zeroes those entries after the copy.  The ndarray constructor
+    refuses a view that would reach past ``sbuf``.  A view: it reads
+    whatever block was copied last.  It is built directly rather than with
+    sliding_window_view, whose dozen-odd temporary objects a call (14 us
+    against 1 us) also let train-tiny's peak RSS creep up by 0.5-1.8 MB
+    over a 20 s run.
     """
     n, step = sbuf.shape[:2]
     s0, s1 = sbuf.strides[:2]
     item = sbuf.itemsize
-    win = np.ndarray((n, step, k, k, run), sbuf.dtype, sbuf, 0, (s0, s1, wp * item, item, item))
+    win = np.ndarray((n, step, k, k, run), sbuf.dtype, sbuf, 0, (s0, s1, w * item, item, item))
     win.flags.writeable = False
     return win
 
@@ -613,63 +604,56 @@ def _walk(src, rows, k: int, bias=None, x=None):
     taps, channel j's tap (u, v) at column j*k*k + u*k + v.  The walk goes
     one block of source channels at a time: a run of whole groups
     (depthwise) or a run of the one group's channels (dense), as many, at
-    least one, as keep the block's scratch near DW_BLOCK_BYTES.  The block
-    is zero-padded into a reused scratch, with the wrapped-row layout of the
-    module docstring, and one copy from :func:`_tap_window`, built once per
-    call, fills a reused column matrix with its k*k shifted runs per
-    channel; matmuls with the block's columns of ``rows`` sum its taps at
-    the padded width, for runs of m's rows whose sums stay near
-    DW_BLOCK_BYTES (a depthwise group has one row).  Each cropped sum is
-    written into the output with the bias or, for a dense group's later
-    blocks, added to it.  A 1x1 is one block whose column matrix is ``src``
-    itself.
+    least one, as keep the block's scratch near DW_BLOCK_BYTES.  Each
+    channel is one flat run of h*w pixels.  The block is copied once into a
+    reused scratch with zero rows above and below (see :func:`_tap_window`),
+    one copy from the window over it, built once per call, fills a reused
+    column matrix with the k*k shifted runs of each channel, and the
+    entries of tap column v that wrapped into the neighbouring row are
+    zeroed: the last v - k//2 of each row for v > k//2, the first k//2 - v
+    for v < k//2, all of them once that reaches w.  Matmuls with the
+    block's columns of ``rows`` write the tap sums straight into the
+    output, in runs of m's rows (a depthwise group has one row); a dense
+    group's later blocks sum into one accumulator of such a run and add it
+    to the output.  The bias is added once, at the end.  A 1x1 is one
+    block whose column matrix is ``src`` itself.
 
     With ``x``, the conv's input, ``src`` is the output gradient and
     ``rows`` the flipped, transposed taps, and the walk also returns the
-    weight gradient, (groups, c/groups * k*k, x's c/groups).  Each block's
-    column matrix times its groups' x at the padded width, whose k-1
-    wrapped columns are zero, summed over the batch (at batch 1 the matmul
-    writes it directly): row j*k*k + u*k + v pairs source channel j shifted
-    by (u - k//2, v - k//2) with x, so the taps come out reversed.  x is
-    padded to that width in blocks too: a depthwise block's own channels,
-    or a dense group's input channels in runs of about DW_BLOCK_BYTES,
-    padded once per call when one run holds them all and once per block
-    otherwise.  Each depthwise channel's sums are the same BLAS calls
-    whatever block it falls in, so its results do not depend on the block
-    size.
+    weight gradient, (groups, c/groups * k*k, x's c/groups): each block's
+    column matrix times its groups' x, read in place, summed over the batch
+    (at batch 1 the matmul writes it directly).  Row j*k*k + u*k + v pairs
+    source channel j shifted by (u - k//2, v - k//2) with x, so the taps
+    come out reversed.  Each depthwise channel's sums are the same BLAS
+    calls whatever block it falls in, so its results do not depend on the
+    block size.
     """
     n, c, h, w = src.shape
     groups, m, _ = rows.shape
     cpg, kk, p = c // groups, k * k, k // 2
-    wp = w + 2 * p
-    run = h * wp
+    run = h * w
     dt = src.dtype
     out = np.empty((n, groups * m, h, w), dt)
-    if x is None:
-        channel = kk * run  # the column matrix
-    else:
+    outg = out.reshape(n, groups, m, run)
+    if x is not None:
         xpg = x.shape[1] // groups
-        # x channels per matmul: a depthwise group's one, or a run of a
-        # dense group's that keeps x at the padded width near one block
-        xstep = xpg if k == 1 else min(xpg, max(1, DW_BLOCK_BYTES // (n * run * dt.itemsize)))
         gw = np.empty((groups, cpg * kk, xpg), dt)
-        # padded source, column matrix, matmul output and input at the padded width
-        channel = (h + 2 * p + 1) * wp + (kk + 2) * run
-    step = c if k == 1 else min(c, max(1, DW_BLOCK_BYTES // (n * channel * dt.itemsize)))
-    if k > 1:
-        # output rows per matmul, so that a dense group's sum at the padded
-        # width stays near one block too
+    if k == 1:
+        step, mstep = c, m
+    else:
+        pad = p * w + p
+        size = run + 2 * pad
+        # the padded source, its column matrix and its output run, per channel
+        step = min(c, max(1, DW_BLOCK_BYTES // (n * (size + (kk + 1) * run) * dt.itemsize)))
+        # output rows per matmul, so that a dense group's partial sum stays
+        # near one block too
         mstep = min(m, max(1, DW_BLOCK_BYTES // (n * run * dt.itemsize)))
-        gstep = -(-step // cpg)
-        sbuf = np.zeros((n, step, h + 2 * p + 1, wp), dt)
-        win = _tap_window(sbuf, k, wp, run)
-        if x is not None:
-            xbuf = np.zeros((n, gstep * xstep, h, wp), dt)
+        sbuf = np.zeros((n, step, size), dt)
+        planes = sbuf[..., pad:pad + run].reshape(n, step, h, w)
+        win = _tap_window(sbuf, k, w, run)
         colbuf = np.empty((n, step, kk, run), dt)
-        accbuf = np.empty((n, gstep, mstep, run), dt)
-        outg = out.reshape(n, groups, m, h, w)
-        if bias is not None:
-            biasg = bias.reshape(groups, m, 1, 1)
+        if step < cpg:
+            acc = np.empty((n, 1, mstep, run), dt)
     for c0 in range(0, c, step):
         cb = min(step, c - c0)
         # groups g0..g0+gb, channels j0..j0+jb of each (one of gb, jb is 1)
@@ -678,42 +662,37 @@ def _walk(src, rows, k: int, bias=None, x=None):
         r = rows[g0:g0 + gb, :, j0 * kk:(j0 + jb) * kk]
         if k == 1:
             cols = src.reshape(n, groups, cpg, run)
-            np.matmul(r, cols, out=out.reshape(n, groups, m, run))
-            if bias is not None:
-                out += bias[:, None, None]
         else:
-            _pad_block(sbuf, src[:, c0:c0 + cb], p, p)
+            planes[:, :cb] = src[:, c0:c0 + cb]
             cols = colbuf[:, :cb]
             np.copyto(cols.reshape(n, cb, k, k, run), win[:, :cb])
+            taps = cols.reshape(n, cb, k, k, h, w)
+            for v in range(k):
+                if v > p:
+                    taps[:, :, :, v, :, max(w - v + p, 0):] = 0
+                elif v < p:
+                    taps[:, :, :, v, :, :min(p - v, w)] = 0
             cols = cols.reshape(n, gb, jb * kk, run)
-            for m0 in range(0, m, mstep):
-                mb = min(mstep, m - m0)
-                acc = accbuf[:, :gb, :mb]
-                np.matmul(r[:, m0:m0 + mb], cols, out=acc)
-                crop = acc.reshape(n, gb, mb, h, wp)[..., :w]
-                o = outg[:, g0:g0 + gb, m0:m0 + mb]
-                if j0:
-                    o += crop
-                elif bias is None:
-                    np.copyto(o, crop)
-                else:
-                    np.add(crop, biasg[g0:g0 + gb, m0:m0 + mb], out=o)
+        for m0 in range(0, m, mstep):
+            mb = min(mstep, m - m0)
+            o = outg[:, g0:g0 + gb, m0:m0 + mb]
+            if j0:
+                np.matmul(r[:, m0:m0 + mb], cols, out=acc[:, :, :mb])
+                o += acc[:, :, :mb]
+            else:
+                np.matmul(r[:, m0:m0 + mb], cols, out=o)
         if x is not None:
+            xg = x[:, g0 * xpg:(g0 + gb) * xpg].reshape(n, gb, xpg, run)
+            # one x channel per group as a column, which numpy hands to gemv
+            xt = xg.reshape(n, gb, run, 1) if xpg == 1 else xg.swapaxes(-1, -2)
             gwb = gw[g0:g0 + gb, j0 * kk:(j0 + jb) * kk]
-            for x0 in range(0, xpg, xstep):
-                xb = min(xstep, xpg - x0)
-                # one of gb, xb is 1; x padded for a dense group's first
-                # block is kept when one run holds all its channels
-                if not j0 or xb < xpg:
-                    xg = x[:, g0 * xpg + x0:g0 * xpg + x0 + gb * xb]
-                    xw = xg if k == 1 else _pad_block(xbuf, xg, 0, 0)
-                    # one x channel per group as a column, which numpy hands to gemv
-                    xt = xw.reshape(n, gb, run, 1) if xpg == 1 else xw.reshape(n, gb, xb, run).swapaxes(-1, -2)
-                if n == 1:
-                    # no batch to sum over: the matmul writes the gradient itself
-                    np.matmul(cols[0], xt[0], out=gwb[..., x0:x0 + xb])
-                else:
-                    np.matmul(cols, xt).sum(axis=0, out=gwb[..., x0:x0 + xb])
+            if n == 1:
+                # no batch to sum over: the matmul writes the gradient itself
+                np.matmul(cols[0], xt[0], out=gwb)
+            else:
+                np.matmul(cols, xt).sum(axis=0, out=gwb)
+    if bias is not None:
+        out += bias[:, None, None]
     return out if x is None else (out, gw)
 
 
@@ -726,8 +705,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int | None = None, gr
     ``stride`` stays in the signature for callers that pass it positionally.
     Any other stride, kernel, padding or group count raises
     :class:`ConfigError`; input, weight and bias of different dtypes raise
-    :class:`ShapeError`.  The bias is added inside the kernel as the output
-    is written; the result is C-contiguous.
+    :class:`ShapeError`.  The bias is added inside the kernel, in one pass
+    over the finished tap sums; the result is C-contiguous.
     """
     x, weight = astensor(x), astensor(weight)
     if x.ndim != 4 or weight.ndim != 4:

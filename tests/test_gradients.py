@@ -104,3 +104,51 @@ def test_a_probes_inputs_depend_only_on_the_seed_and_its_name(monkeypatch):
         assert np.array_equal(x, base[name]), name
     for name, x in probe_inputs(monkeypatch, 1).items():
         assert not np.array_equal(x, base[name]), name
+
+
+def module_probes(monkeypatch, seed):
+    """Each module probe's inputs and sampled parameter entries, by name, without the finite differences."""
+    probes, real = [], gradcheck._check_module
+
+    def record(f, x, indices=None):
+        if indices is None:
+            probes[-1]["inputs"].append(x.data.copy())
+        else:
+            probes[-1]["entries"].append(indices)
+        return 0.0
+
+    def check_module(*args):
+        probes.append({"inputs": [], "entries": []})
+        return real(*args)
+
+    monkeypatch.setattr(gradcheck, "finite_diff_check", record)
+    monkeypatch.setattr(gradcheck, "_check_module", check_module)
+    return dict(zip(gradcheck.check_modules(seed), probes))
+
+
+def test_a_modules_inputs_depend_only_on_the_seed_and_its_name(monkeypatch):
+    base = module_probes(monkeypatch, 0)
+    real_projector = gradcheck._projector
+    made = []
+
+    def greedy_first_projector(rng):
+        if not made:
+            rng.normal()  # the first module's projector makes one draw more
+        made.append(rng)
+        return real_projector(rng)
+
+    # with one generator shared in sequence, the extra draw would move every later module
+    monkeypatch.setattr(gradcheck, "_projector", greedy_first_projector)
+    moved = module_probes(monkeypatch, 0)
+    assert list(moved) == list(base)
+    first = next(iter(base))
+    for name, probe in moved.items():
+        # a module samples its parameter entries after its projector draws
+        parts = ("inputs",) if name == first else ("inputs", "entries")
+        for part in parts:
+            assert len(probe[part]) == len(base[name][part]), (name, part)
+            for got, want in zip(probe[part], base[name][part]):
+                assert np.array_equal(got, want), (name, part)
+    for name, probe in module_probes(monkeypatch, 1).items():
+        for got, want in zip(probe["inputs"], base[name]["inputs"]):
+            assert not np.array_equal(got, want), name

@@ -166,10 +166,11 @@ def test_backward_matches_naive_numeric(rng, kind):
             assert abs(grad[idx] - fd) < 1e-6 * max(1.0, abs(fd)), (idx, grad[idx], fd)
 
 
-# Depthwise maps that cross channel-block edges (ops.DW_BLOCK_BYTES of column
-# matrix per block).  In float32 with a 3x3 kernel: 26 + 26 + 18 channels;
-# 14 blocks of 3 channels over a batch of 8; and one channel per block, since
-# a single channel's column matrix is already larger than a block.
+# Depthwise maps that cross channel-block edges (ops.DW_BLOCK_BYTES of padded
+# source, column matrix and output per block).  In float32 with a 3x3 kernel:
+# 23 + 23 + 23 + 1 channels; 21 blocks of 2 channels over a batch of 8; and
+# one channel per block, since a single channel's column matrix is already
+# larger than a block.
 BLOCKED_SHAPES = [(1, 70, 32, 32), (8, 42, 32, 32), (1, 3, 260, 260)]
 # The taps sum in BLAS order, not tap by tap: agreement with the tap loop
 # within this many of its largest entries.
@@ -192,8 +193,8 @@ TAP_LOOP_CASES = [pytest.param(dtype, shape, k, bias, id=f"{name}-{shape_id(shap
 
 @pytest.mark.parametrize("dtype,shape,k,bias", TAP_LOOP_CASES)
 def test_blocked_depthwise_equals_plain_tap_loop(rng, dtype, shape, k, bias):
-    # equal up to the order of the additions: the taps sum in BLAS order; the
-    # bias is added as each block's output is cropped, not in a second pass
+    # equal up to the order of the additions: the taps sum in BLAS order, and
+    # the bias is added to each tap sum
     x = rng.normal(size=shape).astype(dtype)
     w = rng.normal(size=(shape[1], 1, k, k)).astype(dtype)
     b = rng.normal(size=shape[1]).astype(dtype) if bias else None
@@ -247,6 +248,30 @@ def test_blocked_depthwise_matches_naive_oracle(rng, shape, k):
                                np.sum(g * naive_conv2d(dx, w, padding=p, groups=c)), rtol=1e-10)
     np.testing.assert_allclose(np.sum(wt.grad * dw),
                                np.sum(g * naive_conv2d(x, dw, padding=p, groups=c)), rtol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["depthwise", "dense"])
+@pytest.mark.parametrize("k", [3, 5, 7])
+@pytest.mark.parametrize("w_", [1, 2, 3])
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_maps_within_the_kernel_radius_match_naive_oracle(rng, h, w_, k, kind):
+    # maps as narrow or as short as the kernel's reach: a tap can leave a row
+    # by a whole row's width or more, so every one of its entries is zeroed
+    c = 3
+    cout, groups = (c, c) if kind == "depthwise" else (2, 1)
+    p = k // 2
+    x, w = rng.normal(size=(2, c, h, w_)), rng.normal(size=(cout, c // groups, k, k))
+    b, g = rng.normal(size=cout), rng.normal(size=(2, cout, h, w_))
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    y = ops.conv2d(xt, wt, Tensor(b), groups=groups)
+    np.testing.assert_allclose(y.data, naive_conv2d(x, w, b, padding=p, groups=groups), rtol=1e-10, atol=1e-10)
+    ops.tsum(ops.mul(y, Tensor(g))).backward()
+    # directional derivatives of the bilinear sum(g * conv(x, w)), as above
+    dx, dw = rng.normal(size=x.shape), rng.normal(size=w.shape)
+    np.testing.assert_allclose(np.sum(xt.grad * dx),
+                               np.sum(g * naive_conv2d(dx, w, padding=p, groups=groups)), rtol=1e-10)
+    np.testing.assert_allclose(np.sum(wt.grad * dw),
+                               np.sum(g * naive_conv2d(x, dw, padding=p, groups=groups)), rtol=1e-10)
 
 
 def per_tap_weight_grad(x, g, k):
@@ -303,31 +328,40 @@ def test_depthwise_weight_gradient_matches_per_tap_einsum(rng, shape, k, dtype):
     assert_close_to_tap_loop(wt.grad, per_tap_weight_grad(x, g, k), dtype)
 
 
+def block_scratch(n, h, w, k, dtype):
+    """Bytes ``ops._walk`` budgets per source channel: the source with k//2
+    zero rows and k//2 zeros above and below it, its column matrix and its
+    output run."""
+    p = k // 2
+    return n * ((h + 2 * p) * w + 2 * p + (k * k + 1) * h * w) * np.dtype(dtype).itemsize
+
+
 class SliceLoopColumns:
     """Stands in for ``ops._tap_window``: the column matrix by k*k slice copies.
 
     Indexed as the walk indexes the window, ``[:, :cb]``, it copies each
-    tap's shifted run of the padded scratch's first cb channels, flattened,
-    with one slice assignment per tap (u, v) from offset u*wp + v, and
-    returns them as (n, cb, k, k, run).  It reads the scratch when indexed,
-    as the window, a view, does.
+    tap's shifted run of the scratch's first cb channels, each a flattened
+    h*w plane with zero rows above and below, with one slice assignment per
+    tap (u, v) from offset u*w + v, and returns them as (n, cb, k, k, run).
+    It reads the scratch when indexed, as the window, a view, does.  The
+    walk then zeroes the entries that wrapped into the neighbouring row, in
+    this copy as in the window's.
     """
 
     calls = 0
 
-    def __init__(self, sbuf, k, wp, run):
-        self.sbuf, self.k, self.wp, self.run = sbuf, k, wp, run
+    def __init__(self, sbuf, k, w, run):
+        self.sbuf, self.k, self.w, self.run = sbuf, k, w, run
         SliceLoopColumns.calls += 1
 
     def __getitem__(self, idx):
-        k, wp, run = self.k, self.wp, self.run
-        n, step = self.sbuf.shape[:2]
-        xf = self.sbuf.reshape(n, step, -1)[idx]
-        cols = np.empty(xf.shape[:2] + (k * k, run), xf.dtype)
+        k, w, run = self.k, self.w, self.run
+        flat = self.sbuf[idx]
+        cols = np.empty(flat.shape[:2] + (k * k, run), flat.dtype)
         for u in range(k):
             for v in range(k):
-                cols[:, :, u * k + v] = xf[:, :, u * wp + v:u * wp + v + run]
-        return cols.reshape(xf.shape[:2] + (k, k, run))
+                cols[:, :, u * k + v] = flat[:, :, u * w + v:u * w + v + run]
+        return cols.reshape(flat.shape[:2] + (k, k, run))
 
 
 @pytest.mark.parametrize("budget", ["default", "partial"])
@@ -338,13 +372,12 @@ class SliceLoopColumns:
 def test_column_window_equals_the_slice_loop(rng, monkeypatch, kind, k, n, dtype, budget):
     # output, input gradient and weight gradient are bit-identical to a walk
     # whose column matrix is copied tap by tap.  "partial": blocks of 3
-    # channels in the backward (more in the forward), the last one partial
+    # channels in both passes, the last one partial, so a dense forward sums
+    # three blocks
     c, h, w_ = 7, 9, 11
     cout, groups = (c, c) if kind == "depthwise" else (4, 1)
     if budget == "partial":
-        wp = w_ + 2 * (k // 2)
-        channel = (h + 2 * (k // 2) + 1) * wp + (k * k + 2) * h * wp
-        monkeypatch.setattr(ops, "DW_BLOCK_BYTES", 3 * n * channel * np.dtype(dtype).itemsize)
+        monkeypatch.setattr(ops, "DW_BLOCK_BYTES", 3 * block_scratch(n, h, w_, k, dtype))
     x = rng.normal(size=(n, c, h, w_)).astype(dtype)
     w = rng.normal(size=(cout, c // groups, k, k)).astype(dtype)
     b = rng.normal(size=cout).astype(dtype)
@@ -389,7 +422,7 @@ def test_dense_gradients_match_naive_oracle(rng, shape, cout, k):
 
 
 # Dense kxk calls walked in input-channel chunks: (x shape, c_out, k).  The
-# last one's 40 output rows also go in runs, 2 to 5 of them in the forward.
+# last one's 40 output rows also go in runs, 2 to 4 of them in the forward.
 CHUNKED_DENSE = [((2, 10, 9, 11), 6, 3), ((1, 7, 8, 8), 4, 5), ((3, 7, 6, 7), 9, 3),
                  ((1, 9, 6, 7), 40, 3)]
 
@@ -398,14 +431,13 @@ CHUNKED_DENSE = [((2, 10, 9, 11), 6, 3), ((1, 7, 8, 8), 4, 5), ((3, 7, 6, 7), 9,
 @pytest.mark.parametrize("shape,cout,k", CHUNKED_DENSE,
                          ids=[f"{shape_id(s)}-{c}-k{k}" for s, c, k in CHUNKED_DENSE])
 def test_chunked_dense_matches_naive_oracle(rng, monkeypatch, shape, cout, k, chunk):
-    # the budget holds ``chunk`` channels of the forward's column matrix, so
-    # 3 or more partial sums over input channels accumulate in the output;
-    # the backward walks the output gradient in chunks of at most as many.
-    # A matmul writes k*k * chunk output rows at a time.
+    # the budget holds ``chunk`` channels of the walk's scratch, so 3 or more
+    # partial sums over input channels accumulate in the output; the
+    # backward walks the output gradient in chunks of as many.  A matmul
+    # writes about (k*k + 2) * chunk output rows at a time.
     n, cin, h, w_ = shape
     p = k // 2
-    column = n * k * k * h * (w_ + 2 * p) * 8
-    monkeypatch.setattr(ops, "DW_BLOCK_BYTES", chunk * column)
+    monkeypatch.setattr(ops, "DW_BLOCK_BYTES", chunk * block_scratch(n, h, w_, k, np.float64))
     assert -(-cin // chunk) >= 3
     x, w = rng.normal(size=shape), rng.normal(size=(cout, cin, k, k))
     b, g = rng.normal(size=cout), rng.normal(size=(n, cout, h, w_))
