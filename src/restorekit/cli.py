@@ -24,7 +24,7 @@ from .degrade import (TASKS, clean_sources_crc32, degrade, make_patch_set, proce
 from .errors import ConfigError, DataError, NumericsError, ShapeError, UsageError
 from .gradcheck import (MODEL_TOL, MODULE_TOL, PRIMITIVE_TOL, check_model, check_modules,
                         check_primitives)
-from .metrics import psnr, ssim
+from .metrics import check_pair, psnr, ssim
 from .model import PRESETS, RestorationModel, ablation_variants, config_by_name
 from .ppm import chw_to_image, image_to_chw, read_ppm, write_ppm
 from .tensor import Tensor, no_grad
@@ -244,9 +244,20 @@ def _pad_to_multiple(chw: np.ndarray, m: int) -> tuple[np.ndarray, int, int]:
     return np.pad(chw, ((0, 0), (0, ph), (0, pw)), mode=mode), h, w
 
 
+def _scorable(name, a: np.ndarray, b: np.ndarray):
+    """Refuse, as a data problem naming ``name``, a pair psnr and ssim cannot score."""
+    try:
+        check_pair(a, b)
+    except ShapeError as e:
+        raise DataError(f"{name}: {e}") from None
+
+
 def cmd_restore(ns) -> int:
     model, _, _ = load_model(ns.checkpoint)
     img = read_ppm(ns.input)
+    if ns.reference:  # one the metrics cannot use fails before the model runs
+        ref = read_ppm(ns.reference)
+        _scorable(ns.reference, img, ref)
     chw = image_to_chw(img).astype(model.dtype)
     padded, h, w = _pad_to_multiple(chw, model.DOWNSCALE)
     with no_grad():
@@ -257,7 +268,6 @@ def cmd_restore(ns) -> int:
     write_ppm(ns.output, chw_to_image(restored))
     print(f"wrote {ns.output} ({w}x{h})")
     if ns.reference:
-        ref = read_ppm(ns.reference)
         before = psnr(img, ref)
         after = psnr(chw_to_image(restored), ref)
         print(f"psnr {before:.2f} -> {after:.2f} dB   "
@@ -301,9 +311,9 @@ def cmd_ablate(ns) -> int:
         t0 = time.time()
         model = RestorationModel(cfg)
         row = {"variant": label, "params": model.param_count(),
-               "use_agf": cfg.use_agf, "use_cgdm": cfg.use_cgdm, "use_caga": cfg.use_caga,
-               "use_adaptive_temp": cfg.wants_temperature(),
-               "use_gated_output": cfg.wants_gate()}
+               "use_agf": cfg.use_agf, "use_cgdm": cfg.use_cgdm,
+               "use_adaptive_temp": cfg.use_adaptive_temp,
+               "use_gated_output": cfg.use_gated_output}
         if ns.dry_run:
             row["status"] = "built"
         else:
@@ -341,8 +351,7 @@ def cmd_metrics(ns) -> int:
     for name in sorted(ref_names):
         a = read_ppm(ref_dir / name)
         b = read_ppm(cand_dir / name)
-        if a.shape != b.shape:
-            raise DataError(f"{name}: shapes differ {a.shape} vs {b.shape}")
+        _scorable(name, a, b)
         p, s = psnr(b, a), ssim(b, a)
         p_all.append(p)
         s_all.append(s)

@@ -42,18 +42,24 @@ def _filter_valid(x: np.ndarray, win: np.ndarray) -> np.ndarray:
     return np.tensordot(view, win, axes=([2, 3], [0, 1]))
 
 
+def check_pair(a: np.ndarray, b: np.ndarray):
+    """Raise ShapeError unless :func:`ssim`, and so :func:`psnr`, can score ``a`` against ``b``."""
+    if a.shape != b.shape:
+        raise ShapeError(f"shapes differ: {a.shape} vs {b.shape}")
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"ssim expects (h, w) or (h, w, c), got {a.shape}")
+    side = _WINDOW.shape[0]
+    if a.shape[0] < side or a.shape[1] < side:
+        raise ShapeError(f"ssim needs images at least {side}x{side}, got {a.shape[1]}x{a.shape[0]}")
+
+
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean SSIM over valid windows, averaged across the channel axis."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"ssim shapes differ: {a.shape} vs {b.shape}")
+    check_pair(a, b)
     if a.ndim == 2:
         a, b = a[..., None], b[..., None]
-    if a.ndim != 3:
-        raise ShapeError(f"ssim expects (h, w) or (h, w, c), got {a.shape}")
-    if a.shape[0] < 11 or a.shape[1] < 11:
-        raise ShapeError("ssim needs images at least 11x11")
     c1 = 0.01 ** 2
     c2 = 0.03 ** 2
     scores = []

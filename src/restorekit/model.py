@@ -6,17 +6,19 @@ decoder mirrors the encoder with gated (or plain) skip fusion at levels
 1-3.  A refinement stage at full resolution feeds a 3x3 projection whose
 output is added to the input image, so the network always predicts a
 residual.
+
+:class:`ModelConfig` holds what a preset or an ablation varies, :data:`FIXED` the rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import ops
 from .attention import TransformerBlock
-from .errors import ConfigError, ShapeError, require_finite
+from .errors import ConfigError, ShapeError
 from .fusion import GatedSkipFusion, PlainSkipFusion
 from .layers import Conv2d
 from .params import ParamStore
@@ -25,61 +27,37 @@ from .spectral import DualDomainBottleneck
 from .tensor import Tensor
 
 
+# Values no preset or ablation varies; ffn_expansion and norm_eps are Restormer's.
+FIXED = {"num_scales": 3, "global_dim": 256, "ffn_expansion": 2.66, "norm_eps": 1e-6,
+         "gn_groups": 4, "se_reduction": 4}
+
+
 @dataclass
 class ModelConfig:
     base_channels: int = 48
     enc_blocks: tuple = (4, 6, 6, 8)      # levels 1-3 plus bottleneck; decoder mirrors 1-3
     refinement_blocks: int = 4
     heads: tuple = (1, 2, 4, 8)
-    num_scales: int = 3
-    global_dim: int = 256
-    ffn_expansion: float = 2.66
-    norm_eps: float = 1e-6
-    gn_groups: int = 4
-    se_reduction: int = 4
     use_agf: bool = True                  # gated skip fusion (off: plain concat+1x1)
     use_cgdm: bool = True                 # dual-domain bottleneck
-    use_caga: bool = True                 # prompt-modulated attention (off: plain attention)
-    use_adaptive_temp: bool = True        # sub-toggles, only active while use_caga
-    use_gated_output: bool = True
+    use_adaptive_temp: bool = True        # prompt-driven attention temperature (off: 1)
+    use_gated_output: bool = True         # prompt-driven attention output gate (off: none)
     seed: int = 0
 
     def level_widths(self) -> list[int]:
         return [self.base_channels * (2 ** i) for i in range(4)]
 
-    def wants_temperature(self) -> bool:
-        return self.use_caga and self.use_adaptive_temp
-
-    def wants_gate(self) -> bool:
-        return self.use_caga and self.use_gated_output
-
-    def needs_prompts(self) -> bool:
-        return self.use_cgdm or self.wants_temperature() or self.wants_gate()
-
     def validate(self):
-        require_finite(self)
         if len(self.enc_blocks) != 4 or len(self.heads) != 4:
             raise ConfigError("enc_blocks and heads must have one entry per level (4)")
-        if self.base_channels < 4:
-            raise ConfigError("base_channels must be at least 4")
+        groups = FIXED["gn_groups"]  # the skip fusion's GroupNorm splits base_channels into these
+        if self.base_channels < 1 or self.base_channels % groups:
+            raise ConfigError(f"base_channels={self.base_channels} is not a positive multiple of {groups}")
         if any(b < 1 for b in self.enc_blocks) or self.refinement_blocks < 0:
             raise ConfigError("block counts must be positive")
-        # divisors below: a 0 would otherwise escape as ZeroDivisionError
-        divisors = {"gn_groups": self.gn_groups, "se_reduction": self.se_reduction, "heads": min(self.heads)}
-        for name, low in divisors.items():
-            if low < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         for w, h in zip(self.level_widths(), self.heads):
-            if w % h:
+            if h < 1 or w % h:  # h < 1 first: a 0 would escape as ZeroDivisionError
                 raise ConfigError(f"heads={h} does not divide width {w}")
-        if self.base_channels % self.gn_groups:
-            raise ConfigError("gn_groups must divide base_channels")
-        if self.ffn_expansion <= 0 or self.global_dim < 1:
-            raise ConfigError("ffn_expansion and global_dim must be positive")
-        # the feed-forward's depthwise conv has 2 * hidden groups
-        if int(self.base_channels * self.ffn_expansion) < 1:
-            raise ConfigError(f"ffn_expansion={self.ffn_expansion} gives no hidden channels "
-                              f"at width {self.base_channels}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -124,21 +102,21 @@ class RestorationModel:
         store = self.store
         c = config.base_channels
         widths = config.level_widths()
-        temp, gate = config.wants_temperature(), config.wants_gate()
+        temp, gate = config.use_adaptive_temp, config.use_gated_output
 
         def block(name: str, level: int) -> TransformerBlock:
             prompt_dim = widths[level] if (temp or gate) else None
             return TransformerBlock(store, name, widths[level], config.heads[level],
                                     prompt_dim, temp, gate,
-                                    config.ffn_expansion, config.norm_eps)
+                                    FIXED["ffn_expansion"], FIXED["norm_eps"])
 
         self.conv_in = Conv2d(store, "conv_in", 3, c, 3)
         self.prompts = None
-        if config.needs_prompts():
+        if config.use_cgdm or temp or gate:
             # level prompts only exist when some block consumes them; the
             # bottleneck alone just needs the global vector
-            pc = PromptConfig(channels=c, num_scales=config.num_scales,
-                              global_dim=config.global_dim,
+            pc = PromptConfig(channels=c, num_scales=FIXED["num_scales"],
+                              global_dim=FIXED["global_dim"],
                               num_levels=4 if (temp or gate) else 0)
             self.prompts = PromptGenerator(store, "prompts", pc)
 
@@ -153,7 +131,7 @@ class RestorationModel:
         self.latent = [block(f"latent.block{i}", 3) for i in range(config.enc_blocks[3])]
         self.bottleneck = None
         if config.use_cgdm:
-            self.bottleneck = DualDomainBottleneck(store, "bottleneck", widths[3], config.global_dim)
+            self.bottleneck = DualDomainBottleneck(store, "bottleneck", widths[3], FIXED["global_dim"])
 
         self.up = [
             Conv2d(store, f"up{lvl + 1}", widths[lvl + 1], 4 * widths[lvl], 1, bias=False)
@@ -162,7 +140,7 @@ class RestorationModel:
         fusion_cls = GatedSkipFusion if config.use_agf else PlainSkipFusion
         self.fusion = [
             fusion_cls(store, f"fusion{lvl + 1}", widths[lvl],
-                       gn_groups=config.gn_groups, se_reduction=config.se_reduction)
+                       gn_groups=FIXED["gn_groups"], se_reduction=FIXED["se_reduction"])
             for lvl in reversed(range(3))
         ]
         self.decoder = [
@@ -240,23 +218,21 @@ def ablation_variants(base: ModelConfig | None = None) -> list[tuple[str, ModelC
     from dataclasses import replace
 
     base = base or full_config()
-    rows = [
-        ("skip-fusion only",        dict(use_agf=True, use_cgdm=False, use_caga=False)),
-        ("dual-domain only",        dict(use_agf=False, use_cgdm=True, use_caga=False)),
-        ("gated-attention only",    dict(use_agf=False, use_cgdm=False, use_caga=True)),
-        ("skip-fusion+dual-domain", dict(use_agf=True, use_cgdm=True, use_caga=False)),
-        ("dual-domain+gated-attn",  dict(use_agf=False, use_cgdm=True, use_caga=True)),
-        ("skip-fusion+gated-attn",  dict(use_agf=True, use_cgdm=False, use_caga=True)),
-        ("full",                    dict(use_agf=True, use_cgdm=True, use_caga=True)),
-        ("plain baseline",          dict(use_agf=False, use_cgdm=False, use_caga=False)),
-        ("temperature only",        dict(use_agf=False, use_cgdm=False, use_caga=True,
-                                         use_adaptive_temp=True, use_gated_output=False)),
-        ("output-gate only",        dict(use_agf=False, use_cgdm=False, use_caga=True,
-                                         use_adaptive_temp=False, use_gated_output=True)),
-        ("temperature+gate",        dict(use_agf=False, use_cgdm=False, use_caga=True,
-                                         use_adaptive_temp=True, use_gated_output=True)),
+    rows = [  # label, use_agf, use_cgdm, use_adaptive_temp, use_gated_output
+        ("skip-fusion only",        True,  False, False, False),
+        ("dual-domain only",        False, True,  False, False),
+        ("gated-attention only",    False, False, True,  True),
+        ("skip-fusion+dual-domain", True,  True,  False, False),
+        ("dual-domain+gated-attn",  False, True,  True,  True),
+        ("skip-fusion+gated-attn",  True,  False, True,  True),
+        ("full",                    True,  True,  True,  True),
+        ("plain baseline",          False, False, False, False),
+        ("temperature only",        False, False, True,  False),
+        ("output-gate only",        False, False, False, True),
+        ("temperature+gate",        False, False, True,  True),
     ]
-    return [(label, replace(base, **flags)) for label, flags in rows]
+    return [(label, replace(base, use_agf=agf, use_cgdm=cgdm, use_adaptive_temp=temp, use_gated_output=gate))
+            for label, agf, cgdm, temp, gate in rows]
 
 
 def config_to_dict(config: ModelConfig) -> dict:
@@ -267,11 +243,18 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
+    """The config a manifest records.  Older manifests also carry :data:`FIXED`'s keys and
+    ``use_caga``, taken only at the values that build the same network (``use_caga`` true)."""
+    d = dict(d)
+    for key, fixed in {**FIXED, "use_caga": True}.items():
+        if key in d:
+            value = d.pop(key)
+            if type(value) is not type(fixed) or value != fixed:
+                raise ConfigError(f"{key} is fixed at {fixed!r}, got {value!r}")
     known = {f.name for f in ModelConfig.__dataclass_fields__.values()}
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    d = dict(d)
     for key in ("enc_blocks", "heads"):
         if key in d:
             d[key] = tuple(d[key])

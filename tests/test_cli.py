@@ -98,6 +98,16 @@ def test_metrics_missing_dir_exits_three(tmp_path):
                 "--candidate", str(tmp_path / "nope")]) == 3
 
 
+def test_metrics_on_images_under_the_ssim_window_exits_three(tmp_path, capsys, rng):
+    ref, cand = tmp_path / "ref", tmp_path / "cand"
+    img = rng.uniform(0.2, 0.8, size=(8, 8, 3))
+    write_ppm(ref / "small.ppm", img)
+    write_ppm(cand / "small.ppm", img)
+    assert run(["metrics", "--reference", str(ref), "--candidate", str(cand)]) == 3
+    err = capsys.readouterr().err
+    assert "small.ppm" in err and "11x11" in err
+
+
 def test_train_then_restore_round_trip(tmp_path, capsys, rng):
     out = tmp_path / "run"
     assert run(["train", "--out", str(out), "--steps", "2", "--batch", "2",
@@ -139,6 +149,25 @@ def test_restore_missing_input_exits_three(tmp_path):
                 "--output", str(tmp_path / "o.ppm")]) == 3
 
 
+# no reference file; a reference of another size; an input and reference
+# both under ssim's 11x11 window
+@pytest.mark.parametrize("in_side,ref_side,message", [(16, None, "not found"), (8, 16, "shapes differ"),
+                                                      (8, 8, "11x11")])
+def test_restore_with_an_unusable_reference_exits_three_before_writing(tmp_path, capsys, rng,
+                                                                       in_side, ref_side, message):
+    save_model(RestorationModel(tiny_config()), tmp_path / "m")
+    write_ppm(tmp_path / "in.ppm", rng.uniform(0.2, 0.8, size=(in_side, in_side, 3)))
+    if ref_side is not None:
+        write_ppm(tmp_path / "ref.ppm", rng.uniform(0.2, 0.8, size=(ref_side, ref_side, 3)))
+    assert run(["restore", "--checkpoint", str(tmp_path / "m"),
+                "--input", str(tmp_path / "in.ppm"),
+                "--output", str(tmp_path / "o.ppm"),
+                "--reference", str(tmp_path / "ref.ppm")]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "ref.ppm" in err
+    assert not (tmp_path / "o.ppm").exists()
+
+
 def test_restore_checkpoint_without_tensor_list_exits_three(tmp_path, rng):
     save_model(RestorationModel(tiny_config()), tmp_path / "m")
     manifest = json.loads((tmp_path / "m.json").read_text())
@@ -167,8 +196,11 @@ def test_restore_checkpoint_without_a_payload_check_exits_three(tmp_path, capsys
 # ffn_expansion 0.01 gives the feed-forward 0 hidden channels, so its
 # depthwise conv 0 groups; a negative seed is refused by numpy's generators;
 # json writes nan as NaN and reads it back
+# use_caga and global_dim are keys of older manifests, taken only at the
+# value that builds the same network
 @pytest.mark.parametrize("field,value", [("gn_groups", 0), ("se_reduction", 0), ("heads", [1, 0, 2, 2]),
-                                         ("ffn_expansion", 0.01), ("seed", -1), ("ffn_expansion", float("nan"))])
+                                         ("ffn_expansion", 0.01), ("seed", -1), ("ffn_expansion", float("nan")),
+                                         ("use_caga", False), ("global_dim", 128)])
 def test_restore_checkpoint_with_a_zero_divisor_exits_two(tmp_path, capsys, rng, field, value):
     save_model(RestorationModel(tiny_config()), tmp_path / "m")
     manifest = json.loads((tmp_path / "m.json").read_text())

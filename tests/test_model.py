@@ -1,12 +1,15 @@
 """Backbone assembly: shapes, parameter budgets, toggles, determinism."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from restorekit import ops
 from restorekit.checkpoint import load_model, save_model
 from restorekit.errors import ConfigError, ShapeError
-from restorekit.model import (ModelConfig, RestorationModel, ablation_variants,
+from restorekit.model import (PRESETS, ModelConfig, RestorationModel, ablation_variants,
                               config_by_name, config_from_dict, config_to_dict,
                               full_config, small_config, tiny_config)
 from restorekit.tensor import Tensor
@@ -119,7 +122,7 @@ def test_forward_rejects_bad_shapes(tiny):
 
 def test_toggles_reduce_parameter_count():
     base = RestorationModel(tiny_config()).param_count()
-    for flag in ("use_agf", "use_cgdm", "use_caga"):
+    for flag in ("use_agf", "use_cgdm", "use_adaptive_temp", "use_gated_output"):
         cfg = tiny_config()
         setattr(cfg, flag, False)
         assert RestorationModel(cfg).param_count() < base, flag
@@ -127,7 +130,7 @@ def test_toggles_reduce_parameter_count():
 
 def test_plain_baseline_builds_no_prompt_network():
     cfg = tiny_config()
-    cfg.use_agf = cfg.use_cgdm = cfg.use_caga = False
+    cfg.use_agf = cfg.use_cgdm = cfg.use_adaptive_temp = cfg.use_gated_output = False
     model = RestorationModel(cfg)
     assert model.prompts is None
     assert model.bottleneck is None
@@ -139,7 +142,7 @@ def test_plain_baseline_builds_no_prompt_network():
 
 def test_prompt_network_kept_when_only_bottleneck_needs_it():
     cfg = tiny_config()
-    cfg.use_caga = False
+    cfg.use_adaptive_temp = cfg.use_gated_output = False
     cfg.use_cgdm = True
     model = RestorationModel(cfg)
     assert model.prompts is not None and model.bottleneck is not None
@@ -189,11 +192,37 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     assert np.array_equal(before, after)
 
 
+def test_manifest_with_the_retired_config_keys_loads_the_same_model(tmp_path):
+    """A manifest carrying all 16 config keys once written, at their defaults, still loads."""
+    model = RestorationModel(tiny_config(seed=7))
+    save_model(model, tmp_path / "m")
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    manifest["config"] = {"base_channels": 8, "enc_blocks": [1, 1, 1, 1], "refinement_blocks": 1,
+                          "heads": [1, 1, 2, 2], "num_scales": 3, "global_dim": 256,
+                          "ffn_expansion": 2.66, "norm_eps": 1e-6, "gn_groups": 4, "se_reduction": 4,
+                          "use_agf": True, "use_cgdm": True, "use_caga": True,
+                          "use_adaptive_temp": True, "use_gated_output": True, "seed": 7}
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    loaded, _, _ = load_model(tmp_path / "m")
+    assert loaded.config == model.config
+    x = Tensor(np.random.default_rng(4).normal(size=(1, 3, 32, 32)).astype(np.float32))
+    assert np.array_equal(loaded(x).data, model(x).data)
+
+
+def test_every_config_field_but_the_seed_is_varied_by_a_preset_or_an_ablation():
+    """A field no preset or ablation row sets to a second value belongs in FIXED, not the config."""
+    configs = [make() for make in PRESETS.values()]
+    configs += [cfg for base in list(configs) for _, cfg in ablation_variants(base)]
+    for f in fields(ModelConfig):
+        if f.name != "seed":
+            assert len({getattr(c, f.name) for c in configs}) >= 2, f.name
+
+
 def test_ablation_variants_cover_the_module_matrix():
     rows = ablation_variants(tiny_config())
     labels = [label for label, _ in rows]
     assert len(rows) == 11 and len(set(labels)) == 11
-    flags = {(c.use_agf, c.use_cgdm, c.use_caga) for _, c in rows}
+    flags = {(c.use_agf, c.use_cgdm, c.use_adaptive_temp or c.use_gated_output) for _, c in rows}
     assert len(flags) == 8  # all single/pair/full/none combinations appear
 
 
@@ -231,5 +260,5 @@ def test_config_by_name_and_validation():
     with pytest.raises(ConfigError):
         ModelConfig(enc_blocks=(1, 2, 3)).validate()
     for field in ("ffn_expansion", "norm_eps"):
-        with pytest.raises(ConfigError, match=f"{field} must be finite"):
-            ModelConfig(**{field: float("nan")}).validate()
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict({**config_to_dict(tiny_config()), field: float("nan")})
