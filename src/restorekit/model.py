@@ -12,7 +12,7 @@ residual.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -242,9 +242,14 @@ def config_to_dict(config: ModelConfig) -> dict:
     return d
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def config_from_dict(d: dict) -> ModelConfig:
     """The config a manifest records.  Older manifests also carry :data:`FIXED`'s keys and
-    ``use_caga``, taken only at the values that build the same network (``use_caga`` true)."""
+    ``use_caga``, taken only at the values that build the same network (``use_caga`` true).
+    A field of another type than its default's raises ConfigError naming it."""
     d = dict(d)
     for key, fixed in {**FIXED, "use_caga": True}.items():
         if key in d:
@@ -255,6 +260,20 @@ def config_from_dict(d: dict) -> ModelConfig:
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    # each field's type is its default's: per-level tuples, switches, ints
+    for f in fields(ModelConfig):
+        if f.name not in d:
+            continue
+        value = d[f.name]
+        if isinstance(f.default, tuple):
+            ok = isinstance(value, (list, tuple)) and len(value) == 4 and all(map(_is_int, value))
+            kind = "a list of 4 integers"
+        elif isinstance(f.default, bool):
+            ok, kind = isinstance(value, bool), "true or false"
+        else:
+            ok, kind = _is_int(value), "an integer"
+        if not ok:
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
     for key in ("enc_blocks", "heads"):
         if key in d:
             d[key] = tuple(d[key])

@@ -49,10 +49,11 @@ Conventions:
     or numpy scalar passed to add, sub, mul or div adopts the dtype of the
     float tensor on the other side, so a constant never promotes a float32
     map to float64.
-  - Every GELU goes through one normal-CDF kernel, _phi, walking flat
-    chunks of GELU_CHUNK elements with reused scratch so that the dozen-odd
-    elementwise passes stay in cache: gelu itself, and gelu_gate, the
-    feed-forward's gelu(first half) * second half, fused into one node.
+  - Every GELU is one walk, _gelu_walk, over flat chunks of CHUNK
+    elements with reused scratch so that the dozen-odd elementwise passes
+    stay in cache, Phi from one normal-CDF kernel, _phi: gelu itself, and
+    gelu_gate, the feed-forward's gelu(first half) * second half, fused
+    into one node.
     float32 builds erf from SIMD ufuncs (within 2e-7 of erf); float64 calls
     scipy's erf, and its results are those of the whole-array formulas.
     scipy.special is imported on the first float64 call, not with the
@@ -79,11 +80,10 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Abramowitz and Stegun 7.1.26: p, and a1..a5 halved (see _phi)
 _AS_P = 0.3275911
 _AS_HALF_A = tuple(0.5 * a for a in (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
-# Elements of one GELU chunk: the chunk, its Phi and its scratch stay in L2
-# while a dozen-odd elementwise passes run over them.  Over the 44 gates of
-# a full-preset 64x64 restore (float32) 32 K took about 59 ms, 64 K 60,
-# 16 K 68 and 8 K 116.
-GELU_CHUNK = 32 * 1024
+# Elements of one flat chunk of the GELU walk and of train.adam_step: 256 KB
+# of float32, so a chunk and its few scratch buffers stay in L2 while the
+# dozen-odd elementwise passes of either run over them.
+CHUNK = 64 * 1024
 # Bytes of one block of a conv's source channels (see _walk): the source
 # with its zero rows, its column matrix and the output run its matmul
 # writes, per channel, in either pass.  It sizes depthwise blocks, dense
@@ -361,57 +361,67 @@ def _gelu_slope(x: np.ndarray, phi: np.ndarray, out: np.ndarray):
     out += phi
 
 
-def _flat_chunks(size: int):
-    """Slices walking ``size`` flat elements GELU_CHUNK at a time."""
-    return [slice(lo, lo + GELU_CHUNK) for lo in range(0, size, GELU_CHUNK)]
+def _gelu_walk(y: Tensor, x: np.ndarray, b: np.ndarray | None, shape, op: str) -> Tensor:
+    """gelu(x) * b over the (n, m) runs ``x`` and ``b`` of ``y``'s data, one node of ``shape``.
 
+    ``b`` None gives the plain GELU.  Each run is walked CHUNK elements at a
+    time, Phi from :func:`_phi` into reused scratch, so no full-size
+    temporary is made.  Phi is kept for the backward only when the node
+    goes on the tape.  The backward writes g * b * (Phi(x) + x * pdf(x)),
+    b = 1 without a gate, into x's part of y's gradient and, with a gate,
+    g * x * Phi(x) into b's.
+    """
+    n, m = x.shape
+    keep = recording((y,))
+    data = np.empty((n, m), x.dtype)
+    phi = np.empty((n, m), x.dtype) if keep else None
+    pbuf, tmp = (np.empty(min(m, CHUNK), x.dtype) for _ in range(2))
+    for i in range(n):
+        for lo in range(0, m, CHUNK):
+            sl = slice(lo, lo + CHUNK)
+            a, out = x[i, sl], data[i, sl]
+            p = phi[i, sl] if keep else pbuf[:a.size]
+            _phi(a, p, tmp[:a.size])
+            np.multiply(a, p, out=out)
+            if b is not None:
+                out *= b[i, sl]
 
-def _scratch(size: int, dt, count: int):
-    """``count`` reusable chunk buffers for a run of ``size`` elements."""
-    return [np.empty(min(size, GELU_CHUNK), dt) for _ in range(count)]
+    def backward(g):
+        gf = g.reshape(n, m)
+        gy = np.empty((n, 1 if b is None else 2, m), x.dtype)
+        slope = np.empty(min(m, CHUNK), x.dtype)
+        for i in range(n):
+            for lo in range(0, m, CHUNK):
+                sl = slice(lo, lo + CHUNK)
+                a, p, gg, ga = x[i, sl], phi[i, sl], gf[i, sl], gy[i, 0, sl]
+                t = slope[:a.size]
+                _gelu_slope(a, p, t)
+                np.multiply(gg, t if b is None else b[i, sl], out=ga)
+                if b is not None:
+                    ga *= t
+                    gb = gy[i, 1, sl]
+                    np.multiply(a, p, out=gb)
+                    gb *= gg
+        accumulate_grad(y, gy.reshape(y.shape))
+
+    return make_node(data.reshape(shape), (y,), backward, op)
 
 
 def gelu(a) -> Tensor:
     """Exact (erf-based) GELU, not the tanh approximation: x * Phi(x).
 
-    Walks the flat input GELU_CHUNK elements at a time through
-    :func:`_phi`, which :func:`gelu_gate` shares.  Phi is kept for the
-    backward only when the node goes on the tape.
+    The flat input is one run of :func:`_gelu_walk`, which :func:`gelu_gate`
+    shares.
     """
     a = astensor(a)
-    x = a.data.reshape(-1)
-    keep = recording((a,))
-    data = np.empty_like(x)
-    phi = np.empty_like(x) if keep else None
-    pbuf, tmp = _scratch(x.size, x.dtype, 2)
-    for sl in _flat_chunks(x.size):
-        xc = x[sl]
-        p = phi[sl] if keep else pbuf[:xc.size]
-        _phi(xc, p, tmp[:xc.size])
-        np.multiply(xc, p, out=data[sl])
-
-    def backward(g):
-        gf = g.reshape(-1)
-        gx = np.empty_like(x)
-        (slope,) = _scratch(x.size, x.dtype, 1)
-        for sl in _flat_chunks(x.size):
-            t = slope[:x[sl].size]
-            _gelu_slope(x[sl], phi[sl], t)
-            np.multiply(gf[sl], t, out=gx[sl])
-        accumulate_grad(a, gx.reshape(a.shape))
-
-    return make_node(data.reshape(a.shape), (a,), backward, "gelu")
+    return _gelu_walk(a, a.data.reshape(1, -1), None, a.shape, "gelu")
 
 
 def gelu_gate(y) -> Tensor:
     """Restormer's feed-forward gate: gelu(y[:, :h]) * y[:, h:] of (n, 2h, H, W) input, one node.
 
-    Each image's two halves are contiguous runs of y; they are walked
-    GELU_CHUNK elements at a time, Phi from :func:`_phi`, so the working
-    set stays in cache and no full-size temporary is made.  Phi is kept
-    for the backward only when the node goes on the tape.  The backward
-    writes both halves of one gradient map: g * b * (Phi(a) + a * pdf(a))
-    and g * a * Phi(a).  In float64 every element runs the operations of
+    Each image's two halves are contiguous runs of y, walked by
+    :func:`_gelu_walk`.  In float64 every element runs the operations of
     ``mul(gelu(a), b)`` over ``narrow`` halves in the same order, so the result
     and the input gradient are bit-identical to that composition.
     """
@@ -420,36 +430,7 @@ def gelu_gate(y) -> Tensor:
         raise ShapeError(f"gelu_gate expects (n, 2h, H, W) input, got {y.shape}")
     n, c2, hh, ww = y.shape
     yd = y.data.reshape(n, 2, -1)
-    m = yd.shape[-1]
-    chunks = _flat_chunks(m)
-    keep = recording((y,))
-    data = np.empty((n, m), yd.dtype)
-    phi = np.empty((n, m), yd.dtype) if keep else None
-    pbuf, tmp = _scratch(m, yd.dtype, 2)
-    for i in range(n):
-        for sl in chunks:
-            a, out = yd[i, 0, sl], data[i, sl]
-            p = phi[i, sl] if keep else pbuf[:a.size]
-            _phi(a, p, tmp[:a.size])
-            np.multiply(a, p, out=out)
-            out *= yd[i, 1, sl]
-
-    def backward(g):
-        gf = g.reshape(n, m)
-        gy = np.empty((n, 2, m), yd.dtype)
-        (slope,) = _scratch(m, yd.dtype, 1)
-        for i in range(n):
-            for sl in chunks:
-                a, p, gg = yd[i, 0, sl], phi[i, sl], gf[i, sl]
-                ga, gb, t = gy[i, 0, sl], gy[i, 1, sl], slope[:a.size]
-                np.multiply(a, p, out=gb)
-                gb *= gg
-                _gelu_slope(a, p, t)
-                np.multiply(gg, yd[i, 1, sl], out=ga)
-                ga *= t
-        accumulate_grad(y, gy.reshape(y.shape))
-
-    return make_node(data.reshape(n, c2 // 2, hh, ww), (y,), backward, "gelu_gate")
+    return _gelu_walk(y, yd[:, 0], yd[:, 1], (n, c2 // 2, hh, ww), "gelu_gate")
 
 
 def softmax(a, axis: int = -1) -> Tensor:

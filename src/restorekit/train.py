@@ -18,14 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .checkpoint import load_checkpoint, save_model, split_optim
+from .checkpoint import _is_count, load_checkpoint, save_model, split_optim
 from .errors import ConfigError, DataError, NumericsError, UsageError, require_finite
 from .params import ParamStore
 from .tensor import Tensor, finite_trace
-
-# Elements per chunk of adam_step's walk: 256 KB of float32, so the chunk
-# and its two scratch buffers stay in L2.
-ADAM_CHUNK = 64 * 1024
 
 
 @dataclass
@@ -164,9 +160,9 @@ def adam_step(store: ParamStore, state: OptimizerState, lr: float,
 
     Per parameter, the textbook update: m = b1*m + (1-b1)*g, v = b2*v +
     (1-b2)*g*g, p -= lr * (m/bc1) / (sqrt(v/bc2) + eps).  A tensor of at
-    least ADAM_CHUNK elements is walked in flat chunks of ADAM_CHUNK
+    least ops.CHUNK elements is walked in flat chunks of ops.CHUNK
     elements, updated in place.  Smaller tensors, in store order, are
-    gathered into packs of at most ADAM_CHUNK elements: one
+    gathered into packs of at most ops.CHUNK elements: one
     concatenate per role (g, m, v, parameter) into reused chunk scratch,
     one update of the pack, then m, v and the parameter copied back per
     tensor, so that the update's numpy calls are paid per pack, not per
@@ -187,7 +183,7 @@ def adam_step(store: ParamStore, state: OptimizerState, lr: float,
     state.t += 1
     coef = (lr, beta1, beta2, eps, 1.0 - beta1 ** state.t, 1.0 - beta2 ** state.t)
     # the update's scratch a, then a pack's g (also the update's scratch b), m, v and x
-    scratch = [np.empty(ADAM_CHUNK, store.dtype) for _ in range(5)]
+    scratch = [np.empty(ops.CHUNK, store.dtype) for _ in range(5)]
     sq = 0.0
 
     def flush(members, size):
@@ -211,8 +207,8 @@ def adam_step(store: ParamStore, state: OptimizerState, lr: float,
     for name, p in store.items():
         size = p.data.size
         tensors = p.grad, state.m[name], state.v[name], p.data
-        if size < ADAM_CHUNK:
-            if held + size > ADAM_CHUNK:
+        if size < ops.CHUNK:
+            if held + size > ops.CHUNK:
                 sq += flush(pack, held)
                 pack, held = [], 0
             pack.append(tensors)
@@ -222,8 +218,8 @@ def adam_step(store: ParamStore, state: OptimizerState, lr: float,
         # flat views: parameters (Tensor.data) and moments (OptimizerState)
         # are C-contiguous, so the in-place writes below land in them
         flat = [t.ravel() for t in tensors]
-        for lo in range(0, size, ADAM_CHUNK):
-            g, m, v, x = (f[lo:lo + ADAM_CHUNK] for f in flat)
+        for lo in range(0, size, ops.CHUNK):
+            g, m, v, x = (f[lo:lo + ops.CHUNK] for f in flat)
             sq += _adam_update(g, m, v, x, buf_a[:g.size], buf_b[:g.size], *coef)
     if pack:
         sq += flush(pack, held)
@@ -251,11 +247,23 @@ def _truncate_report(path: Path, start_step: int):
     """Keep the records of steps before ``start_step``.
 
     A run that died after its last checkpoint logged later steps, the last
-    record possibly torn (every complete record ends in a newline).
+    record possibly torn (every complete record ends in a newline).  A
+    complete line that is not a JSON object with an integer ``step`` raises
+    DataError naming its line number, and the file is left as it was.
     """
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(line for line in lines
-                            if line.endswith("\n") and json.loads(line)["step"] < start_step))
+    *complete, _torn = path.read_text().split("\n")
+    kept = []
+    for number, line in enumerate(complete, start=1):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        step = record.get("step") if isinstance(record, dict) else None
+        if not _is_count(step):
+            raise DataError(f"{path} line {number} is not a step record")
+        if step < start_step:
+            kept.append(line + "\n")
+    path.write_text("".join(kept))
 
 
 def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
@@ -303,10 +311,16 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
             if name != "checkpoint_every" and saved.get(name) != value:
                 raise ConfigError(f"{where} has {name}={saved.get(name)!r}, "
                                   f"this run has {value!r}")
-        store.load_arrays(params)
-        state.load_arrays(optim, ts["step"])
-        rng.bit_generator.state = ts["rng_state"]
         start_step = ts["step"]
+        if not _is_count(start_step) or start_step > cfg.steps:
+            raise DataError(f"{where} has step={start_step!r}, "
+                            f"not an integer from 0 to steps={cfg.steps}")
+        try:
+            rng.bit_generator.state = ts.get("rng_state")
+        except (TypeError, ValueError, KeyError, OverflowError) as e:
+            raise DataError(f"{where} has an rng_state the generator cannot take: {e}") from None
+        store.load_arrays(params)
+        state.load_arrays(optim, start_step)
 
     out_dir = Path(out_dir) if out_dir is not None else None
     report_path = None

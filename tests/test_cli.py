@@ -197,10 +197,13 @@ def test_restore_checkpoint_without_a_payload_check_exits_three(tmp_path, capsys
 # depthwise conv 0 groups; a negative seed is refused by numpy's generators;
 # json writes nan as NaN and reads it back
 # use_caga and global_dim are keys of older manifests, taken only at the
-# value that builds the same network
+# value that builds the same network; the rest are values of the wrong type
 @pytest.mark.parametrize("field,value", [("gn_groups", 0), ("se_reduction", 0), ("heads", [1, 0, 2, 2]),
                                          ("ffn_expansion", 0.01), ("seed", -1), ("ffn_expansion", float("nan")),
-                                         ("use_caga", False), ("global_dim", 128)])
+                                         ("use_caga", False), ("global_dim", 128),
+                                         ("base_channels", 8.0), ("enc_blocks", [1, 1, 1, 1.5]),
+                                         ("enc_blocks", "1111"), ("heads", 3), ("refinement_blocks", True),
+                                         ("use_agf", 1), ("seed", 1.0)])
 def test_restore_checkpoint_with_a_zero_divisor_exits_two(tmp_path, capsys, rng, field, value):
     save_model(RestorationModel(tiny_config()), tmp_path / "m")
     manifest = json.loads((tmp_path / "m.json").read_text())
@@ -399,6 +402,27 @@ def test_resume_without_an_adam_moment_exits_three(tmp_path, capsys):
                            manifest["train_state"])
     assert run(argv + ["--resume", str(stem)]) == 3
     assert "m.conv_in.weight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("rng_state", None), ("rng_state", {"x": 1}), ("step", "1"),
+                                          ("step", 99), ("step", -1)],
+                         ids=["no-rng_state", "bad-rng_state", "string-step", "step-past-steps",
+                              "negative-step"])
+def test_resume_from_a_bad_training_state_exits_three(tmp_path, capsys, field, value):
+    out = tmp_path / "run"
+    argv = trained_with_checkpoints(out)
+    manifest_path = out / "ckpt_step000001.json"
+    manifest = json.loads(manifest_path.read_text())
+    if value is None:
+        del manifest["train_state"][field]
+    else:
+        manifest["train_state"][field] = value
+    manifest_path.write_text(json.dumps(manifest))
+    before = {path: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert run(argv + ["--resume", str(out / "ckpt_step000001")]) == 3
+    assert field in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_train_bad_patch_exits_two(tmp_path):

@@ -57,11 +57,11 @@ def gate_value_and_grad(gate, y, g):
 # runs of one image each rather than one contiguous block.
 GATE_SHAPES = {
     "one": (1, 2, 1, 1),
-    "chunk-1": (1, 2, 1, ops.GELU_CHUNK - 1),
-    "chunk": (1, 4, 1, ops.GELU_CHUNK // 2),
-    "chunk+1": (1, 2, 1, ops.GELU_CHUNK + 1),
+    "chunk-1": (1, 2, 1, ops.CHUNK - 1),
+    "chunk": (1, 4, 1, ops.CHUNK // 2),
+    "chunk+1": (1, 2, 1, ops.CHUNK + 1),
     "batch8": (8, 6, 5, 7),
-    "batch8-over-chunk": (8, 2, 1, ops.GELU_CHUNK + 3),
+    "batch8-over-chunk": (8, 2, 1, ops.CHUNK + 3),
 }
 
 
@@ -81,11 +81,15 @@ def gelu_f64(x):
     return x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))))
 
 
+def gelu_slope_f64(x):
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
 def test_float32_gelu_and_gate_track_the_float64_reference():
     x = np.linspace(-10.0, 10.0, 400001).astype(np.float32)
     x64 = x.astype(np.float64)
     tol = 1e-6 * np.maximum(1.0, np.abs(x64))
-    slope = 0.5 * (1.0 + erf(x64 / np.sqrt(2.0))) + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
+    slope = gelu_slope_f64(x64)
     leaf = Tensor(x, requires_grad=True)
     got = ops.gelu(leaf)
     got.backward(np.ones_like(x))
@@ -97,6 +101,41 @@ def test_float32_gelu_and_gate_track_the_float64_reference():
     assert np.all(np.abs(gate.ravel() - gelu_f64(x64)) <= tol)
     assert np.all(np.abs(grad[0, 0, 0] - slope) <= tol)
     assert np.all(np.abs(grad[0, 1, 0] - gelu_f64(x64)) <= tol)
+
+
+# Element counts around the chunk length, each as a 1-d input and as rows of
+# (n, d) and batch-8 4-d maps: gelu walks the whole map as one flat run, so
+# those totals end on other chunk edges.
+GELU_SIZES = {"chunk-1": ops.CHUNK - 1, "chunk": ops.CHUNK, "chunk+1": ops.CHUNK + 1,
+              "3chunk+5": 3 * ops.CHUNK + 5}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("lead", [(), (3,), (8, 1, 1)], ids=["1d", "2d", "4d"])
+@pytest.mark.parametrize("size", list(GELU_SIZES.values()), ids=list(GELU_SIZES))
+def test_gelu_at_chunk_edges_matches_the_closed_forms(rng, size, lead, dtype):
+    x = (3.0 * rng.normal(size=lead + (size,))).astype(dtype)
+    x64 = x.astype(np.float64)
+    tol = 1e-6 * np.maximum(1.0, np.abs(x64))
+    leaf = Tensor(x, requires_grad=True)
+    got = ops.gelu(leaf)
+    got.backward(np.ones_like(x))
+    assert got.data.dtype == leaf.grad.dtype == dtype
+    assert got.data.shape == leaf.grad.shape == x.shape
+    if dtype == np.float64:
+        assert np.array_equal(got.data, gelu_f64(x))
+    else:
+        assert np.all(np.abs(got.data - gelu_f64(x64)) <= tol)
+    assert np.all(np.abs(leaf.grad - gelu_slope_f64(x64)) <= tol)
+
+
+def test_gelu_gate_does_not_go_through_gelu(rng, monkeypatch):
+    calls = []
+    real = ops.gelu
+    monkeypatch.setattr(ops, "gelu", lambda a: calls.append(a) or real(a))
+    y = Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
+    ops.tsum(ops.gelu_gate(y)).backward()
+    assert calls == []
 
 
 def test_float32_gelu_edge_values_behave_as_scipy_erf():
@@ -112,7 +151,7 @@ def test_float32_gelu_edge_values_behave_as_scipy_erf():
 
 
 def test_gelu_gate_keeps_phi_only_on_the_tape(rng):
-    y = rng.normal(size=(1, 2, 1, 16 * ops.GELU_CHUNK))
+    y = rng.normal(size=(1, 2, 1, 16 * ops.CHUNK))
     out_bytes = y.nbytes // 2
 
     def peak(y):

@@ -163,11 +163,11 @@ def textbook_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_chunked_adam_is_bit_identical_to_the_whole_tensor_form(rng, dtype):
-    # tensors of at least ADAM_CHUNK elements go chunk by chunk, smaller ones
+    # tensors of at least ops.CHUNK elements go chunk by chunk, smaller ones
     # in packs: a few hundred of 1-1000 elements fill several packs, with
     # larger tensors and an empty one between them.  The moments are
     # standalone arrays, not views of OptimizerState's one buffer per role.
-    chunk = train.ADAM_CHUNK
+    chunk = ops.CHUNK
     shapes = {"one": (1,), "below": (chunk - 1,), "exact": (chunk,), "above": (chunk + 1,),
               "several": (3 * chunk + 5,), "conv": (6, 1, 3, 3)}
     small = {f"s{i}": (int(size),) for i, size in enumerate(rng.integers(1, 1001, size=300))}
@@ -199,7 +199,7 @@ def test_chunked_adam_is_bit_identical_to_the_whole_tensor_form(rng, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_adam_step_returns_the_global_gradient_norm(rng, dtype):
-    chunk = train.ADAM_CHUNK
+    chunk = ops.CHUNK
     store = ParamStore(seed=0, dtype=dtype)
     for name, shape in {"one": (1,), "above": (chunk + 1,), "several": (3 * chunk + 5,),
                         "conv": (6, 1, 3, 3)}.items():
@@ -381,6 +381,21 @@ def test_resume_logs_each_step_once(tmp_path):
                resume=tmp_path / "ckpt_step000002")
     steps = [json.loads(line)["step"] for line in report.read_text().splitlines()]
     assert steps == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("line", ['{"step": 1, "lr": 0.1, "lo\n', '{"lr": 0.1}\n', '[1]\n'],
+                         ids=["not-json", "no-step", "not-an-object"])
+def test_resume_refuses_a_corrupt_report_line(tmp_path, line):
+    pairs = small_pairs()
+    train_loop(quick_model(), pairs, quick_cfg(steps=4, checkpoint_every=2), out_dir=tmp_path)
+    report = tmp_path / "report.jsonl"
+    lines = report.read_text().splitlines(keepends=True)
+    lines[1] = line
+    report.write_text("".join(lines))
+    with pytest.raises(DataError, match="report.jsonl line 2 "):
+        train_loop(quick_model(), pairs, quick_cfg(steps=4), out_dir=tmp_path,
+                   resume=tmp_path / "ckpt_step000002")
+    assert report.read_text() == "".join(lines)
 
 
 @pytest.mark.parametrize("field, value", [("steps", 10), ("batch_size", 3), ("lr0", 1.0)])
