@@ -305,9 +305,16 @@ def cmd_ablate(ns) -> int:
     base = config_by_name(ns.size)
     rng = np.random.default_rng(0)
     x = rng.uniform(0.1, 0.9, size=(1, 3, ns.image, ns.image))
-    rows = []
+    rows, ran = [], []  # ran: (config, row) of each distinct config, in table order
     print(f"{'variant':26s} {'params':>12s}  fwd/bwd")
     for label, cfg in ablation_variants(base):
+        first = next((row for seen, row in ran if seen == cfg), None)
+        if first is not None:
+            # the same network as an earlier row: report its figures, do not build it again
+            row = {**first, "variant": label, "same_as": first["variant"], "seconds": 0.0}
+            rows.append(row)
+            print(f"{label:26s} {row['params']:12,d}  same as {first['variant']}")
+            continue
         t0 = time.time()
         model = RestorationModel(cfg)
         row = {"variant": label, "params": model.param_count(),
@@ -328,6 +335,7 @@ def cmd_ablate(ns) -> int:
             row["loss"] = float(loss.data)
         row["seconds"] = time.time() - t0
         rows.append(row)
+        ran.append((cfg, row))
         print(f"{label:26s} {row['params']:12,d}  {row['status']} ({row['seconds']:.1f}s)")
     if ns.out:
         Path(ns.out).parent.mkdir(parents=True, exist_ok=True)

@@ -161,12 +161,14 @@ def check_primitives(seed: int = 0) -> dict[str, float]:
     one("exp", lambda v: ops.tsum(ops.square(ops.exp(v))), (3, 4))
     one("abs", lambda v: ops.tsum(ops.absolute(v)), (3, 4))
 
+    # random non-unit weight and bias, which a unit affine would hide
     rng = _probe_rng(seed, "normalize.layer")
-    nl = _t(rng, (2, 4, 3, 3))
-    run("normalize.layer", lambda v, p=_projector(rng): p(ops.standardize(v, 1, 1e-5)), nl)
+    nl, lw, lb = _t(rng, (2, 4, 3, 3)), Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+    run("normalize.layer", lambda v, p=_projector(rng): p(ops.normalize(v, lw, lb, 1, 1e-5)), nl)
     rng = _probe_rng(seed, "normalize.group")
     ng = _t(rng, (2, 2, 2, 3, 3))  # (n, groups, channels per group, h, w)
-    run("normalize.group", lambda v, p=_projector(rng): p(ops.standardize(v, (2, 3, 4), 1e-5)), ng)
+    gw, gb = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+    run("normalize.group", lambda v, p=_projector(rng): p(ops.normalize(v, gw, gb, (2, 3, 4), 1e-5)), ng)
 
     one("gap", lambda v: ops.tsum(ops.square(ops.gap(v))), (2, 3, 4, 4))
     one("mean_std", lambda v: ops.tsum(ops.square(ops.mean_std(v))), (2, 3, 4, 4))

@@ -6,8 +6,6 @@ is a plain callable; there is no module base class to inherit from.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import ops
 from .errors import ConfigError, ShapeError
 from .params import ParamStore
@@ -40,42 +38,35 @@ class Linear:
 
 
 class LayerNorm:
-    """Normalizes channels (4-d input) or the last axis (2-d input), then affine."""
+    """Normalizes channels (4-d input) or the last axis (2-d input), then affine: one ops.normalize node."""
 
     def __init__(self, store: ParamStore, name: str, dim: int, eps: float = 1e-6):
         self.eps = eps
-        self.dim = dim
         self.weight = store.param(f"{name}.weight", (dim,), init="ones")
         self.bias = store.param(f"{name}.bias", (dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim == 4:
-            y = ops.standardize(x, 1, self.eps)
-            w = ops.reshape(self.weight, (1, self.dim, 1, 1))
-            b = ops.reshape(self.bias, (1, self.dim, 1, 1))
-        elif x.ndim == 2:
-            y, w, b = ops.standardize(x, -1, self.eps), self.weight, self.bias
-        else:
+        if x.ndim not in (2, 4):
             raise ShapeError(f"LayerNorm expects 2-d or 4-d input, got {x.shape}")
-        return ops.add(ops.mul(y, w), b)
+        return ops.normalize(x, self.weight, self.bias, 1, self.eps)
 
 
 class GroupNorm:
-    """Normalizes each of ``num_groups`` channel groups over (group channels, h, w), then affine."""
+    """Normalizes each of ``num_groups`` channel groups over (group channels, h, w), then affine.
+
+    One ops.normalize node on a (n, groups, c/groups, h, w) view of the
+    input, between two reshapes that are views.
+    """
 
     def __init__(self, store: ParamStore, name: str, channels: int, num_groups: int, eps: float = 1e-5):
         if num_groups < 1 or channels % num_groups:
             raise ConfigError(f"{num_groups} norm groups do not divide {channels} channels")
         self.eps = eps
         self.num_groups = num_groups
-        self.channels = channels
         self.weight = store.param(f"{name}.weight", (channels,), init="ones")
         self.bias = store.param(f"{name}.bias", (channels,))
 
     def __call__(self, x: Tensor) -> Tensor:
         n, c = x.shape[:2]
         groups = ops.reshape(x, (n, self.num_groups, c // self.num_groups) + x.shape[2:])
-        y = ops.reshape(ops.standardize(groups, (2, 3, 4), self.eps), x.shape)
-        w = ops.reshape(self.weight, (1, self.channels, 1, 1))
-        b = ops.reshape(self.bias, (1, self.channels, 1, 1))
-        return ops.add(ops.mul(y, w), b)
+        return ops.reshape(ops.normalize(groups, self.weight, self.bias, (2, 3, 4), self.eps), x.shape)

@@ -1,7 +1,7 @@
 """Differentiable operations.
 
 Free functions over :class:`~restorekit.tensor.Tensor`; each builds one
-tape node.  Convolution, softmax, standardize, mean_std, FFT, gelu_gate and
+tape node.  Convolution, softmax, normalize, mean_std, FFT, gelu_gate and
 channel_attention are single nodes with hand-written backwards.  gap reuses
 tmean and inherits its gradient.
 
@@ -451,22 +451,56 @@ def softmax(a, axis: int = -1) -> Tensor:
 # normalization
 # ---------------------------------------------------------------------------
 
-def standardize(x, axes, eps: float) -> Tensor:
-    """(x - mean) / sqrt(var + eps) over ``axes``, biased variance, one node.
+def normalize(x, weight, bias, axes, eps: float) -> Tensor:
+    """Standardize over ``axes``, then scale and shift per channel: one node.
 
-    The backward is the closed form (g - mean(g) - y * mean(g * y)) / std
-    from the output y and std = sqrt(var + eps), both kept from the forward.
+    yh = (x - mu) / sigma with mu the mean and sigma = sqrt(var + eps) over
+    ``axes``, biased variance, and y = yh * weight + bias.  ``weight`` and
+    ``bias`` hold one entry per channel.  The channels are the axes of x
+    after the batch axis, as many as multiply to their length: axis 1 of
+    LayerNorm's (n, c) or (n, c, h, w) input, axes 1 and 2 of GroupNorm's
+    (n, groups, c/groups, h, w) view.  The node keeps only mu and sigma
+    beside its parents, 1/c of x for LayerNorm and one number per group for
+    GroupNorm; the backward rebuilds yh from x.  With gy = g * weight,
+
+        g_bias = sum(g),  g_weight = sum(g * yh),
+        g_x = (gy - mean(gy) - yh * mean(gy * yh)) / sigma,
+
+    the sums over all but the channel axes, the means over ``axes``.
     """
-    x = astensor(x)
-    centered = x.data - x.data.mean(axis=axes, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=axes, keepdims=True) + eps)
-    data = centered / std
+    x, weight, bias = astensor(x), astensor(weight), astensor(bias)
+    c = weight.size
+    size, j = 1, 1
+    while size < c and j < x.ndim:
+        size *= x.shape[j]
+        j += 1
+    if weight.shape != (c,) or bias.shape != (c,) or size != c:
+        raise ShapeError(f"normalize: weight {weight.shape} and bias {bias.shape} "
+                         f"are not one entry per channel of {x.shape}")
+    if len({t.data.dtype for t in (x, weight, bias)}) > 1:
+        raise ShapeError(f"normalize expects one dtype, got {x.dtype}, {weight.dtype} and {bias.dtype}")
+    cshape = (1,) + x.shape[1:j] + (1,) * (x.ndim - j)
+    mu = x.data.mean(axis=axes, keepdims=True)
+    data = x.data - mu
+    sigma = np.sqrt((data * data).mean(axis=axes, keepdims=True) + eps)
+    data /= sigma
+    data *= weight.data.reshape(cshape)
+    data += bias.data.reshape(cshape)
 
     def backward(g):
-        gy = (g * data).mean(axis=axes, keepdims=True)
-        accumulate_grad(x, (g - g.mean(axis=axes, keepdims=True) - data * gy) / std)
+        yh = x.data - mu
+        yh /= sigma
+        accumulate_grad(bias, _unbroadcast(g, cshape).reshape(c))
+        accumulate_grad(weight, _unbroadcast(g * yh, cshape).reshape(c))
+        gy = g * weight.data.reshape(cshape)
+        dot = (gy * yh).mean(axis=axes, keepdims=True)
+        gy -= gy.mean(axis=axes, keepdims=True)
+        yh *= dot
+        gy -= yh
+        gy /= sigma
+        accumulate_grad(x, gy)
 
-    return make_node(data, (x,), backward, "standardize")
+    return make_node(data, (x, weight, bias), backward, "normalize")
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,13 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
         if not _is_count(start_step) or start_step > cfg.steps:
             raise DataError(f"{where} has step={start_step!r}, "
                             f"not an integer from 0 to steps={cfg.steps}")
+        rng_state = ts.get("rng_state")
+        counter = rng_state.get("state") if isinstance(rng_state, dict) else None
+        # the setter truncates a float or bool state or inc instead of refusing it
+        if isinstance(counter, dict) and not all(_is_count(counter.get(k)) for k in ("state", "inc")):
+            raise DataError(f"{where} has an rng_state whose state and inc are not both integers: {counter!r}")
         try:
-            rng.bit_generator.state = ts.get("rng_state")
+            rng.bit_generator.state = rng_state
         except (TypeError, ValueError, KeyError, OverflowError) as e:
             raise DataError(f"{where} has an rng_state the generator cannot take: {e}") from None
         store.load_arrays(params)

@@ -404,10 +404,17 @@ def test_resume_without_an_adam_moment_exits_three(tmp_path, capsys):
     assert "m.conv_in.weight" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("rng_state", None), ("rng_state", {"x": 1}), ("step", "1"),
+def pcg64_state(state, inc):
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+# numpy's PCG64 setter takes a counter of 1.5 or true as 1, a state the saved run never had
+@pytest.mark.parametrize("field, value", [("rng_state", None), ("rng_state", {"x": 1}),
+                                          ("rng_state", pcg64_state(1.5, 1)), ("rng_state", pcg64_state(1, 3.0)),
+                                          ("rng_state", pcg64_state(True, 1)), ("step", "1"),
                                           ("step", 99), ("step", -1)],
-                         ids=["no-rng_state", "bad-rng_state", "string-step", "step-past-steps",
-                              "negative-step"])
+                         ids=["no-rng_state", "bad-rng_state", "float-rng-counter", "float-rng-increment",
+                              "bool-rng-counter", "string-step", "step-past-steps", "negative-step"])
 def test_resume_from_a_bad_training_state_exits_three(tmp_path, capsys, field, value):
     out = tmp_path / "run"
     argv = trained_with_checkpoints(out)
@@ -491,6 +498,27 @@ def test_ablate_writes_json_table(tmp_path):
     assert len(rows) == 11
     assert len({r["variant"] for r in rows}) == 11
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_ablate_builds_each_distinct_network_once(tmp_path, monkeypatch):
+    built = []
+
+    class Counted(cli.RestorationModel):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "RestorationModel", Counted)
+    table = tmp_path / "ablate.json"
+    assert run(["ablate", "--size", "tiny", "--image", "16", "--out", str(table)]) == 0
+    rows = json.loads(table.read_text())
+    # "temperature+gate" is the "gated-attention only" network
+    assert len(built) == 10 and len(rows) == 11
+    again = rows[-1]
+    assert again["variant"] == "temperature+gate" and again["same_as"] == "gated-attention only"
+    first = next(r for r in rows if r["variant"] == "gated-attention only")
+    assert (again["params"], again["loss"], again["status"]) == (first["params"], first["loss"], "ok")
+    assert sum("same_as" in r for r in rows) == 1
 
 
 def test_ablate_bad_image_size_exits_two():

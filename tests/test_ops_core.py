@@ -11,7 +11,7 @@ from restorekit import ops
 from restorekit.errors import ConfigError, ShapeError
 from restorekit.layers import GroupNorm, LayerNorm
 from restorekit.params import ParamStore
-from restorekit.tensor import Tensor, no_grad
+from restorekit.tensor import Tensor, accumulate_grad, make_node, no_grad
 
 mpmath.mp.dps = 50
 
@@ -271,16 +271,20 @@ def test_softmax_entropy_monotone_in_temperature(rng):
 
 # -- normalize ---------------------------------------------------------------
 
+def unit_affine(c, dtype=np.float64):
+    return Tensor(np.ones(c, dtype)), Tensor(np.zeros(c, dtype))
+
+
 def test_layer_norm_zero_mean_unit_var_over_channels(rng):
     x = Tensor(rng.normal(size=(2, 6, 3, 4)) * 5 + 2)
-    y = ops.standardize(x, 1, 1e-12).data
+    y = ops.normalize(x, *unit_affine(6), 1, 1e-12).data
     np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-10)
     np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-6)
 
 
 def test_layer_norm_on_vectors(rng):
     x = Tensor(rng.normal(size=(5, 16)))
-    y = ops.standardize(x, -1, 1e-12).data
+    y = ops.normalize(x, *unit_affine(16), -1, 1e-12).data
     np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-12)
     np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-8)
 
@@ -310,53 +314,162 @@ def test_group_norm_num_groups_equals_channels_is_instance_norm(rng):
                                    rtol=1e-10)
 
 
-def test_normalize_constant_input_is_zero_not_nan():
+def test_normalize_constant_input_is_zero_not_nan(rng):
     x = Tensor(np.full((1, 4, 3, 3), 7.0), requires_grad=True)
-    y = ops.standardize(x, 1, 1e-6)
+    w = Tensor(rng.normal(size=4) + 1.5, requires_grad=True)
+    b = Tensor(np.zeros(4), requires_grad=True)
+    y = ops.normalize(x, w, b, 1, 1e-6)
     assert np.all(np.isfinite(y.data))
     np.testing.assert_allclose(y.data, 0.0, atol=1e-6)
     ops.tsum(ops.mul(y, np.arange(36.0).reshape(1, 4, 3, 3))).backward()
-    assert np.all(np.isfinite(x.grad))
+    for t in (x, w, b):
+        assert np.all(np.isfinite(t.grad))
 
 
-def test_normalize_bad_groups_raise():
+def test_normalize_bad_groups_raise(rng):
     for groups in (4, 0):
         with pytest.raises(ConfigError):
             GroupNorm(ParamStore(seed=0), "g", 6, groups)
+    # weight and bias hold one entry per channel of the (n, groups, c/groups, h, w) view, in x's dtype
+    x = Tensor(rng.normal(size=(2, 2, 3, 4, 4)))
+    w, b = unit_affine(6)
+    bad = [unit_affine(4), (w, Tensor(np.zeros(5))), (Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3)))),
+           unit_affine(6, np.float32)]
+    for weight, bias in bad:
+        with pytest.raises(ShapeError):
+            ops.normalize(x, weight, bias, (2, 3, 4), 1e-5)
 
 
-def _same_forward_and_backward(rng, shape, fused, composed):
-    """float64: the single node against the primitive chain it replaces, the reference."""
-    x, g = rng.normal(size=shape) * 3 + 1, rng.normal(size=shape)
+# (x shape, GroupNorm groups or None for LayerNorm)
+NORM_CASES = {"layer-4d": ((2, 6, 3, 4), None), "layer-2d": ((5, 6), None), "group": ((2, 6, 3, 4), 3)}
+
+
+def standardize_node(x, axes, eps):
+    """The standardize node the norms recorded before normalize, as it was written: it keeps y."""
+    centered = x.data - x.data.mean(axis=axes, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=axes, keepdims=True) + eps)
+    data = centered / std
+
+    def backward(g):
+        gy = (g * data).mean(axis=axes, keepdims=True)
+        accumulate_grad(x, (g - g.mean(axis=axes, keepdims=True) - data * gy) / std)
+
+    return make_node(data, (x,), backward, "standardize")
+
+
+def standardize_mul_add(x, weight, bias, groups, eps):
+    """The chain LayerNorm and GroupNorm recorded before normalize: standardize, reshapes, mul, add."""
+    if groups is None:
+        y = standardize_node(x, 1 if x.ndim == 4 else -1, eps)
+    else:
+        n, c = x.shape[:2]
+        grouped = ops.reshape(x, (n, groups, c // groups) + x.shape[2:])
+        y = ops.reshape(standardize_node(grouped, (2, 3, 4), eps), x.shape)
+    if x.ndim == 4:
+        weight, bias = ops.reshape(weight, (1, -1, 1, 1)), ops.reshape(bias, (1, -1, 1, 1))
+    return ops.add(ops.mul(y, weight), bias)
+
+
+def random_norm(rng, shape, groups, dtype):
+    """A LayerNorm or GroupNorm over ``shape``'s channels with random non-unit weight and bias."""
+    store = ParamStore(seed=0, dtype=dtype)
+    c = shape[1]
+    norm = LayerNorm(store, "n", c) if groups is None else GroupNorm(store, "n", c, groups)
+    norm.weight.data[:] = rng.normal(size=c) * 2 + 0.5
+    norm.bias.data[:] = rng.normal(size=c)
+    return store, norm
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", NORM_CASES)
+def test_normalize_is_bit_identical_to_the_standardize_mul_add_chain(rng, case, dtype):
+    shape, groups = NORM_CASES[case]
+    store, norm = random_norm(rng, shape, groups, dtype)
+    x0 = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    results = []
+    for f in (norm, lambda x: standardize_mul_add(x, norm.weight, norm.bias, groups, norm.eps)):
+        store.zero_grads()
+        x = Tensor(x0, requires_grad=True)
+        y = f(ops.reshape(x, shape))  # a tape node, as the norms' inputs are
+        y.backward(g)
+        results.append((y.data, x.grad, norm.weight.grad, norm.bias.grad))
+    for name, new, old in zip(("output", "x grad", "weight grad", "bias grad"), *results):
+        assert new.dtype == dtype and np.array_equal(new, old), name
+
+
+@pytest.mark.parametrize("case", NORM_CASES)
+def test_normalize_matches_the_composed_chain(rng, case):
+    """float64: the node against the primitive ops it replaces, the reference."""
+    shape, groups = NORM_CASES[case]
+    axes = 1 if groups is None else (2, 3, 4)
+
+    def composed(x, weight, bias):
+        if groups is not None:
+            x = ops.reshape(x, (shape[0], groups, shape[1] // groups) + shape[2:])
+        centered = ops.sub(x, ops.tmean(x, axis=axes, keepdims=True))
+        var = ops.tmean(ops.square(centered), axis=axes, keepdims=True)
+        y = ops.reshape(ops.div(centered, ops.sqrt(ops.add(var, 1e-6))), shape)
+        cshape = (1, -1, 1, 1) if len(shape) == 4 else (1, -1)
+        return ops.add(ops.mul(y, ops.reshape(weight, cshape)), ops.reshape(bias, cshape))
+
+    def fused(x, weight, bias):
+        if groups is None:
+            return ops.normalize(x, weight, bias, axes, 1e-6)
+        grouped = ops.reshape(x, (shape[0], groups, shape[1] // groups) + shape[2:])
+        return ops.reshape(ops.normalize(grouped, weight, bias, axes, 1e-6), shape)
+
+    inputs = [rng.normal(size=shape) * 3 + 1, rng.normal(size=shape[1]) * 2, rng.normal(size=shape[1])]
+    g = rng.normal(size=shape)
     results = []
     for f in (fused, composed):
-        t = Tensor(x.copy(), requires_grad=True)
-        y = f(t)
+        ts = [Tensor(a.copy(), requires_grad=True) for a in inputs]
+        y = f(*ts)
         y.backward(g)
-        results.append((y.data, t.grad))
+        results.append([y.data] + [t.grad for t in ts])
     for a, b in zip(*results):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("shape, axes", [((2, 5, 3, 4), 1), ((4, 9), -1), ((2, 3, 2, 3, 3), (2, 3, 4))],
-                         ids=["channels", "vectors", "groups"])
-def test_standardize_matches_the_composed_chain(rng, shape, axes):
-    def composed(x):
-        centered = ops.sub(x, ops.tmean(x, axis=axes, keepdims=True))
-        var = ops.tmean(ops.square(centered), axis=axes, keepdims=True)
-        return ops.div(centered, ops.sqrt(ops.add(var, 1e-6)))
+def closure_arrays(node):
+    """The arrays ``node``'s backward closure holds that are not its parents' data or views of it."""
+    parents = [p.data for p in node._parents]
+    found, stack = [], [c.cell_contents for c in node._backward.__closure__ or ()]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, Tensor):
+            assert any(v is p for p in node._parents), f"{node.op} holds a tensor that is not its parent"
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif isinstance(v, np.ndarray) and not any(np.shares_memory(v, d) for d in parents):
+            found.append(v)
+    return found
 
-    _same_forward_and_backward(rng, shape, lambda x: ops.standardize(x, axes, 1e-6), composed)
+
+@pytest.mark.parametrize("case", NORM_CASES)
+def test_a_normalize_node_keeps_no_map_of_its_own(rng, case):
+    shape, groups = NORM_CASES[case]
+    _, norm = random_norm(rng, shape, groups, np.float32)
+    x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+    node = norm(x)
+    if groups is not None:
+        node = node._parents[0]  # the normalize node under GroupNorm's closing reshape
+    assert node.op == "normalize"
+    held = closure_arrays(node)
+    assert held and all(a.size * shape[1] <= x.size for a in held)
+    # the check catches a node that keeps its standardized map
+    kept = closure_arrays(standardize_node(node._parents[0], 1 if groups is None else (2, 3, 4), 1e-6))
+    assert any(a.size == x.size for a in kept)
 
 
-def _norm_nodes(out):
+def tape_ops(out, stop):
+    """The ops of the tape nodes between ``out`` and the tensor ``stop``."""
     seen, stack, found = set(), [out], []
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
+        if id(node) not in seen and node is not stop and node.op != "leaf":
             seen.add(id(node))
-            if node.op in ("standardize", "mean", "sqrt", "square", "div", "sum"):
-                found.append(node.op)
+            found.append(node.op)
             stack.extend(node._parents)
     return found
 
@@ -365,9 +478,13 @@ def test_each_normalization_records_one_node(rng):
     store = ParamStore(seed=0, dtype=np.float64)
     x = Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
     v = Tensor(rng.normal(size=(3, 9)), requires_grad=True)
-    assert _norm_nodes(LayerNorm(store, "ln", 4)(x)) == ["standardize"]
-    assert _norm_nodes(LayerNorm(store, "lv", 9)(v)) == ["standardize"]
-    assert _norm_nodes(GroupNorm(store, "gn", 4, 2)(x)) == ["standardize"]
+    assert tape_ops(LayerNorm(store, "ln", 4)(x), x) == ["normalize"]
+    assert tape_ops(LayerNorm(store, "lv", 9)(v), v) == ["normalize"]
+    # GroupNorm's two reshapes are views of the input and of the normalized map
+    y = GroupNorm(store, "gn", 4, 2)(x)
+    assert tape_ops(y, x) == ["reshape", "normalize", "reshape"]
+    assert np.shares_memory(y.data, y._parents[0].data)
+    assert np.shares_memory(x.data, y._parents[0]._parents[0].data)
 
 
 # -- linear / matmul -----------------------------------------------------------
