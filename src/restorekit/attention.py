@@ -66,12 +66,14 @@ class GatedChannelAttention:
 class GatedFeedForward:
     """Restormer's gated feed-forward: 1x1 to 2 * hidden, depthwise 3x3, gelu gate, 1x1 back.
 
-    The depthwise output's first half, through GELU, gates its second half
-    (:func:`ops.gelu_gate`, one tape node).
+    hidden = int(channels * EXPANSION).  The depthwise output's first half, through
+    GELU, gates its second half (:func:`ops.gelu_gate`, one tape node).
     """
 
-    def __init__(self, store: ParamStore, name: str, channels: int, expansion: float = 2.66):
-        hidden = int(channels * expansion)
+    EXPANSION = 2.66
+
+    def __init__(self, store: ParamStore, name: str, channels: int):
+        hidden = int(channels * self.EXPANSION)
         self.project_in = Conv2d(store, f"{name}.project_in", channels, 2 * hidden, 1)
         self.dw = Conv2d(store, f"{name}.dw", 2 * hidden, 2 * hidden, 3, groups=2 * hidden)
         self.project_out = Conv2d(store, f"{name}.project_out", hidden, channels, 1)
@@ -84,13 +86,12 @@ class TransformerBlock:
     """Pre-norm residual block: x + attn(norm(x), p), then x + ffn(norm(x))."""
 
     def __init__(self, store: ParamStore, name: str, channels: int, heads: int,
-                 prompt_dim: int | None, adaptive_temp: bool = True, gated_output: bool = True,
-                 ffn_expansion: float = 2.66, norm_eps: float = 1e-6):
-        self.norm1 = LayerNorm(store, f"{name}.norm1", channels, eps=norm_eps)
+                 prompt_dim: int | None, adaptive_temp: bool = True, gated_output: bool = True):
+        self.norm1 = LayerNorm(store, f"{name}.norm1", channels)
         self.attn = GatedChannelAttention(store, f"{name}.attn", channels, heads,
                                           prompt_dim, adaptive_temp, gated_output)
-        self.norm2 = LayerNorm(store, f"{name}.norm2", channels, eps=norm_eps)
-        self.ffn = GatedFeedForward(store, f"{name}.ffn", channels, ffn_expansion)
+        self.norm2 = LayerNorm(store, f"{name}.norm2", channels)
+        self.ffn = GatedFeedForward(store, f"{name}.ffn", channels)
 
     def __call__(self, x: Tensor, prompt: Tensor | None = None) -> Tensor:
         x = ops.add(x, self.attn(self.norm1(x), prompt))

@@ -141,6 +141,8 @@ def _load(path, keep) -> tuple[dict, dict[str, np.ndarray]]:
         manifest = json.loads(mpath.read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"manifest {mpath} is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {mpath} is not a JSON object")
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"unsupported checkpoint schema {manifest.get('schema_version')!r}")
     entries = manifest.get("tensors")

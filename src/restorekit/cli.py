@@ -3,7 +3,8 @@
 Subcommands: train, restore, grad-check, ablate, metrics, make-data.
 Option precedence is argparse defaults < train's --config JSON file <
 explicit flags.  Exit codes: 0 success, 2 configuration/usage, 3 data
-problems, 4 numerical abort, 5 gradient-check failure.
+problems or a path that cannot be read or written, 4 numerical abort,
+5 gradient-check failure.
 """
 
 from __future__ import annotations
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError, ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericsError as e:

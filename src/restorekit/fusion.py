@@ -12,22 +12,24 @@ PlainSkipFusion is the drop-in unconditional baseline (concat + 1x1).
 from __future__ import annotations
 
 from . import ops
-from .errors import ConfigError
 from .layers import Conv2d, GroupNorm, Linear
 from .params import ParamStore
 from .tensor import Tensor
 
 
 class GatedSkipFusion:
-    def __init__(self, store: ParamStore, name: str, channels: int,
-                 gn_groups: int = 4, se_reduction: int = 4):
-        squeezed = (2 * channels) // se_reduction
+    """A GroupNorm of GN_GROUPS groups, so c must be a multiple of GN_GROUPS, and a
+    squeeze-excite that narrows the 2c pooled channels by SE_REDUCTION."""
+
+    GN_GROUPS = 4
+    SE_REDUCTION = 4
+
+    def __init__(self, store: ParamStore, name: str, channels: int):
+        squeezed = (2 * channels) // self.SE_REDUCTION
         mid = max(channels // 4, 1)
-        if squeezed < 1:
-            raise ConfigError("se_reduction too large for channel count")
         self.channels = channels
         self.reduce = Conv2d(store, f"{name}.reduce", 2 * channels, channels, 1)
-        self.gn = GroupNorm(store, f"{name}.gn", channels, gn_groups)
+        self.gn = GroupNorm(store, f"{name}.gn", channels, self.GN_GROUPS)
         self.spatial_dw = Conv2d(store, f"{name}.spatial_dw", channels, channels, 3, groups=channels)
         self.spatial_mid = Conv2d(store, f"{name}.spatial_mid", channels, mid, 3)
         self.spatial_out = Conv2d(store, f"{name}.spatial_out", mid, channels, 1)
@@ -59,7 +61,7 @@ class GatedSkipFusion:
 class PlainSkipFusion:
     """Unconditional skip: concat encoder/decoder features, 1x1 back to c."""
 
-    def __init__(self, store: ParamStore, name: str, channels: int, **_ignored):
+    def __init__(self, store: ParamStore, name: str, channels: int):
         self.merge = Conv2d(store, f"{name}.merge", 2 * channels, channels, 1)
 
     def __call__(self, f_enc: Tensor, f_dec: Tensor) -> Tensor:

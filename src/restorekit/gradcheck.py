@@ -225,14 +225,14 @@ def check_modules(seed: int = 0) -> dict[str, float]:
     from .attention import TransformerBlock
     from .fusion import GatedSkipFusion
     from .params import ParamStore
-    from .prompts import PromptConfig, PromptGenerator
+    from .prompts import PromptGenerator
     from .spectral import DualDomainBottleneck
 
     out = {}
 
     rng = _probe_rng(seed, "prompts")
     store = ParamStore(seed=seed, dtype=np.float64)
-    gen = PromptGenerator(store, "p", PromptConfig(channels=4, num_scales=3, global_dim=8))
+    gen = PromptGenerator(store, "p", channels=4, global_dim=8)
     x = _t(rng, (2, 4, 8, 8))
     proj = _projector(rng)
 

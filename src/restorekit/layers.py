@@ -40,15 +40,16 @@ class Linear:
 class LayerNorm:
     """Normalizes channels (4-d input) or the last axis (2-d input), then affine: one ops.normalize node."""
 
-    def __init__(self, store: ParamStore, name: str, dim: int, eps: float = 1e-6):
-        self.eps = eps
+    EPS = 1e-6  # Restormer's
+
+    def __init__(self, store: ParamStore, name: str, dim: int):
         self.weight = store.param(f"{name}.weight", (dim,), init="ones")
         self.bias = store.param(f"{name}.bias", (dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim not in (2, 4):
             raise ShapeError(f"LayerNorm expects 2-d or 4-d input, got {x.shape}")
-        return ops.normalize(x, self.weight, self.bias, 1, self.eps)
+        return ops.normalize(x, self.weight, self.bias, 1, self.EPS)
 
 
 class GroupNorm:
@@ -58,10 +59,11 @@ class GroupNorm:
     input, between two reshapes that are views.
     """
 
-    def __init__(self, store: ParamStore, name: str, channels: int, num_groups: int, eps: float = 1e-5):
+    EPS = 1e-5
+
+    def __init__(self, store: ParamStore, name: str, channels: int, num_groups: int):
         if num_groups < 1 or channels % num_groups:
             raise ConfigError(f"{num_groups} norm groups do not divide {channels} channels")
-        self.eps = eps
         self.num_groups = num_groups
         self.weight = store.param(f"{name}.weight", (channels,), init="ones")
         self.bias = store.param(f"{name}.bias", (channels,))
@@ -69,4 +71,4 @@ class GroupNorm:
     def __call__(self, x: Tensor) -> Tensor:
         n, c = x.shape[:2]
         groups = ops.reshape(x, (n, self.num_groups, c // self.num_groups) + x.shape[2:])
-        return ops.reshape(ops.normalize(groups, self.weight, self.bias, (2, 3, 4), self.eps), x.shape)
+        return ops.reshape(ops.normalize(groups, self.weight, self.bias, (2, 3, 4), self.EPS), x.shape)

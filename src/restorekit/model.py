@@ -7,7 +7,11 @@ decoder mirrors the encoder with gated (or plain) skip fusion at levels
 output is added to the input image, so the network always predicts a
 residual.
 
-:class:`ModelConfig` holds what a preset or an ablation varies, :data:`FIXED` the rest.
+:class:`ModelConfig` holds what a preset or an ablation varies.  Every other
+value is a constant of the one module that uses it (GatedFeedForward.EXPANSION,
+LayerNorm.EPS, GroupNorm.EPS, GatedSkipFusion.GN_GROUPS and SE_REDUCTION,
+PromptGenerator.SCALES, and :data:`GLOBAL_DIM`, the global vector's width);
+:data:`FIXED` maps the keys older manifests carry for them to these constants.
 """
 
 from __future__ import annotations
@@ -17,19 +21,21 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import ops
-from .attention import TransformerBlock
+from .attention import GatedFeedForward, TransformerBlock
 from .errors import ConfigError, ShapeError
 from .fusion import GatedSkipFusion, PlainSkipFusion
-from .layers import Conv2d
+from .layers import Conv2d, LayerNorm
 from .params import ParamStore
-from .prompts import DegradationContext, PromptConfig, PromptGenerator
+from .prompts import DegradationContext, PromptGenerator
 from .spectral import DualDomainBottleneck
 from .tensor import Tensor
 
 
-# Values no preset or ablation varies; ffn_expansion and norm_eps are Restormer's.
-FIXED = {"num_scales": 3, "global_dim": 256, "ffn_expansion": 2.66, "norm_eps": 1e-6,
-         "gn_groups": 4, "se_reduction": 4}
+GLOBAL_DIM = 256
+
+FIXED = {"num_scales": PromptGenerator.SCALES, "global_dim": GLOBAL_DIM,
+         "ffn_expansion": GatedFeedForward.EXPANSION, "norm_eps": LayerNorm.EPS,
+         "gn_groups": GatedSkipFusion.GN_GROUPS, "se_reduction": GatedSkipFusion.SE_REDUCTION}
 
 
 @dataclass
@@ -50,7 +56,7 @@ class ModelConfig:
     def validate(self):
         if len(self.enc_blocks) != 4 or len(self.heads) != 4:
             raise ConfigError("enc_blocks and heads must have one entry per level (4)")
-        groups = FIXED["gn_groups"]  # the skip fusion's GroupNorm splits base_channels into these
+        groups = GatedSkipFusion.GN_GROUPS  # its GroupNorm splits base_channels into these
         if self.base_channels < 1 or self.base_channels % groups:
             raise ConfigError(f"base_channels={self.base_channels} is not a positive multiple of {groups}")
         if any(b < 1 for b in self.enc_blocks) or self.refinement_blocks < 0:
@@ -107,18 +113,15 @@ class RestorationModel:
         def block(name: str, level: int) -> TransformerBlock:
             prompt_dim = widths[level] if (temp or gate) else None
             return TransformerBlock(store, name, widths[level], config.heads[level],
-                                    prompt_dim, temp, gate,
-                                    FIXED["ffn_expansion"], FIXED["norm_eps"])
+                                    prompt_dim, temp, gate)
 
         self.conv_in = Conv2d(store, "conv_in", 3, c, 3)
         self.prompts = None
         if config.use_cgdm or temp or gate:
             # level prompts only exist when some block consumes them; the
             # bottleneck alone just needs the global vector
-            pc = PromptConfig(channels=c, num_scales=FIXED["num_scales"],
-                              global_dim=FIXED["global_dim"],
-                              num_levels=4 if (temp or gate) else 0)
-            self.prompts = PromptGenerator(store, "prompts", pc)
+            self.prompts = PromptGenerator(store, "prompts", c, GLOBAL_DIM,
+                                           levels=4 if (temp or gate) else 0)
 
         self.encoder = [
             [block(f"encoder{lvl + 1}.block{i}", lvl) for i in range(config.enc_blocks[lvl])]
@@ -131,18 +134,14 @@ class RestorationModel:
         self.latent = [block(f"latent.block{i}", 3) for i in range(config.enc_blocks[3])]
         self.bottleneck = None
         if config.use_cgdm:
-            self.bottleneck = DualDomainBottleneck(store, "bottleneck", widths[3], FIXED["global_dim"])
+            self.bottleneck = DualDomainBottleneck(store, "bottleneck", widths[3], GLOBAL_DIM)
 
         self.up = [
             Conv2d(store, f"up{lvl + 1}", widths[lvl + 1], 4 * widths[lvl], 1, bias=False)
             for lvl in reversed(range(3))
         ]  # ordered deepest-first: up3 (8c->4c), up2, up1
         fusion_cls = GatedSkipFusion if config.use_agf else PlainSkipFusion
-        self.fusion = [
-            fusion_cls(store, f"fusion{lvl + 1}", widths[lvl],
-                       gn_groups=FIXED["gn_groups"], se_reduction=FIXED["se_reduction"])
-            for lvl in reversed(range(3))
-        ]
+        self.fusion = [fusion_cls(store, f"fusion{lvl + 1}", widths[lvl]) for lvl in reversed(range(3))]
         self.decoder = [
             [block(f"decoder{lvl + 1}.block{i}", lvl) for i in range(config.enc_blocks[lvl])]
             for lvl in reversed(range(3))

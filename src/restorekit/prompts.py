@@ -10,31 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import ops
 from .errors import ConfigError
 from .layers import Conv2d, LayerNorm, Linear
 from .params import ParamStore
 from .tensor import Tensor
-
-
-@dataclass
-class PromptConfig:
-    channels: int
-    num_scales: int = 3
-    global_dim: int = 256
-    num_levels: int = 4
-
-    def level_dims(self) -> list[int]:
-        # prompt at level l matches that level's feature width: C, 2C, 4C, 8C
-        return [self.channels * (2 ** i) for i in range(self.num_levels)]
-
-    def validate(self):
-        if self.channels < 1 or self.num_scales < 1 or self.global_dim < 1:
-            raise ConfigError("prompt config dimensions must be positive")
-        if self.num_levels < 0:
-            raise ConfigError("num_levels must be >= 0")
 
 
 @dataclass
@@ -49,25 +29,32 @@ class DegradationContext:
 
 
 class PromptGenerator:
-    """Multi-scale context -> spatial self-gate -> pooled stats -> prompt chain."""
+    """Multi-scale context -> spatial self-gate -> pooled stats -> prompt chain.
 
-    def __init__(self, store: ParamStore, name: str, config: PromptConfig):
-        config.validate()
-        self.config = config
-        c = config.channels
+    SCALES depthwise branches (kernels 3, 5, 7) read the c-wide map; the chain
+    unrolls the global vector into ``levels`` prompts of widths c, 2c, 4c, ...
+    """
+
+    SCALES = 3
+
+    def __init__(self, store: ParamStore, name: str, channels: int, global_dim: int, levels: int = 4):
+        if channels < 1 or global_dim < 1 or levels < 0:
+            raise ConfigError(f"bad prompt sizes: channels={channels}, global_dim={global_dim}, levels={levels}")
+        c = channels
         self.branches = []
-        for s in range(config.num_scales):
+        for s in range(self.SCALES):
             k = 2 * s + 3  # kernel ladder 3, 5, 7, ...
             dw = Conv2d(store, f"{name}.branch{s}.dw", c, c, k, groups=c)
             pw = Conv2d(store, f"{name}.branch{s}.pw", c, c, 1)
             self.branches.append((dw, pw))
-        self.fuse = Conv2d(store, f"{name}.fuse", config.num_scales * c, c, 1)
+        self.fuse = Conv2d(store, f"{name}.fuse", self.SCALES * c, c, 1)
         self.gate_dw = Conv2d(store, f"{name}.gate_dw", c, c, 3, groups=c)
-        self.mlp_in = Linear(store, f"{name}.mlp_in", 2 * c, config.global_dim)
-        self.mlp_out = Linear(store, f"{name}.mlp_out", config.global_dim, config.global_dim)
+        self.mlp_in = Linear(store, f"{name}.mlp_in", 2 * c, global_dim)
+        self.mlp_out = Linear(store, f"{name}.mlp_out", global_dim, global_dim)
         self.stages = []
-        prev = config.global_dim
-        for i, dim in enumerate(config.level_dims()):
+        prev = global_dim
+        for i in range(levels):
+            dim = c * 2 ** i  # the width of level i + 1's features
             lin = Linear(store, f"{name}.stage{i}.linear", prev, dim)
             norm = LayerNorm(store, f"{name}.stage{i}.norm", dim)
             self.stages.append((lin, norm))

@@ -300,9 +300,14 @@ def train_loop(model, pairs, cfg: TrainConfig, out_dir=None, resume=None,
     if resume is not None:
         manifest, arrays = resume if isinstance(resume, tuple) else load_checkpoint(resume)
         where = "the resumed checkpoint" if isinstance(resume, tuple) else f"checkpoint {resume}"
-        ts = manifest.get("train_state") or {}
-        if "step" not in ts:
+        ts = manifest.get("train_state")
+        if ts is not None and not isinstance(ts, dict):
+            raise DataError(f"{where} has a train_state that is not an object: {ts!r}")
+        if "step" not in (ts or {}):
             raise ConfigError(f"{where} has no training state to resume from")
+        for key in ("train_config", "data_recipe"):
+            if ts.get(key) is not None and not isinstance(ts[key], dict):
+                raise DataError(f"{where} has a {key} that is not an object: {ts[key]!r}")
         params, optim = split_optim(arrays)
         saved = {"dtype": str(next(iter(params.values())).dtype), **(ts.get("train_config") or {}),
                  **(ts.get("data_recipe") or {})}

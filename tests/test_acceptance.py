@@ -19,7 +19,7 @@ from restorekit.metrics import _gaussian_window, psnr, ssim
 from restorekit.model import (RestorationModel, ablation_variants, full_config,
                               small_config, tiny_config)
 from restorekit.params import ParamStore
-from restorekit.prompts import PromptConfig, PromptGenerator
+from restorekit.prompts import PromptGenerator
 from restorekit.spectral import DualDomainBottleneck
 from restorekit.tensor import Tensor, no_grad
 from restorekit.train import TrainConfig, train_loop
@@ -101,7 +101,7 @@ def test_criterion_03_gating_invariants():
 
     # prompt-generator spatial self-gate
     store = ParamStore(seed=0, dtype=np.float64)
-    gen = PromptGenerator(store, "p", PromptConfig(channels=4, global_dim=8))
+    gen = PromptGenerator(store, "p", channels=4, global_dim=8)
     x = Tensor(rng.normal(size=(32, 4, 18, 18)))
     fused = gen.fuse(ops.concat(gen.multi_scale(x), axis=1))
     g = ops.sigmoid(gen.gate_dw(fused)).data

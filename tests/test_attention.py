@@ -121,7 +121,7 @@ def test_modulation_toggles(rng):
 
 def test_feed_forward_hidden_width_and_shapes(rng):
     store = ParamStore(seed=0, dtype=np.float64)
-    ffn = GatedFeedForward(store, "f", 8, expansion=2.66)
+    ffn = GatedFeedForward(store, "f", 8)
     assert ffn.project_in.weight.shape[0] == 2 * int(8 * 2.66)
     y = ffn(Tensor(rng.normal(size=(2, 8, 5, 5))))
     assert y.shape == (2, 8, 5, 5)

@@ -193,6 +193,34 @@ def test_restore_checkpoint_without_a_payload_check_exits_three(tmp_path, capsys
     assert not (tmp_path / "o.ppm").exists()
 
 
+@pytest.mark.parametrize("manifest", ["[]", "3", "null", '"x"'], ids=["list", "number", "null", "string"])
+def test_restore_checkpoint_whose_manifest_is_not_an_object_exits_three(tmp_path, capsys, rng, manifest):
+    save_model(RestorationModel(tiny_config()), tmp_path / "m")
+    (tmp_path / "m.json").write_text(manifest)
+    write_ppm(tmp_path / "in.ppm", rng.uniform(0.2, 0.8, size=(16, 16, 3)))
+    assert run(["restore", "--checkpoint", str(tmp_path / "m"),
+                "--input", str(tmp_path / "in.ppm"),
+                "--output", str(tmp_path / "o.ppm")]) == 3
+    assert "m.json" in capsys.readouterr().err
+    assert not (tmp_path / "o.ppm").exists()
+
+
+# each of restore's three paths given as a directory
+@pytest.mark.parametrize("which", ["input", "output", "manifest"])
+def test_restore_with_a_directory_for_a_file_exits_three(tmp_path, capsys, rng, which):
+    save_model(RestorationModel(tiny_config()), tmp_path / "m")
+    write_ppm(tmp_path / "in.ppm", rng.uniform(0.2, 0.8, size=(16, 16, 3)))
+    paths = {"input": tmp_path / "in.ppm", "output": tmp_path / "o.ppm", "manifest": tmp_path / "m.json"}
+    paths[which].unlink(missing_ok=True)
+    paths[which].mkdir()
+    assert run(["restore", "--checkpoint", str(tmp_path / "m"),
+                "--input", str(paths["input"]),
+                "--output", str(paths["output"])]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    if which != "output":
+        assert not paths["output"].exists()
+
+
 # ffn_expansion 0.01 gives the feed-forward 0 hidden channels, so its
 # depthwise conv 0 groups; a negative seed is refused by numpy's generators;
 # json writes nan as NaN and reads it back
@@ -408,19 +436,24 @@ def pcg64_state(state, inc):
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
-# numpy's PCG64 setter takes a counter of 1.5 or true as 1, a state the saved run never had
+# numpy's PCG64 setter takes a counter of 1.5 or true as 1, a state the saved run never had;
+# a train_state field of "train_state" replaces the whole training state
 @pytest.mark.parametrize("field, value", [("rng_state", None), ("rng_state", {"x": 1}),
                                           ("rng_state", pcg64_state(1.5, 1)), ("rng_state", pcg64_state(1, 3.0)),
                                           ("rng_state", pcg64_state(True, 1)), ("step", "1"),
-                                          ("step", 99), ("step", -1)],
+                                          ("step", 99), ("step", -1), ("train_state", "x"),
+                                          ("train_config", [1]), ("data_recipe", 3)],
                          ids=["no-rng_state", "bad-rng_state", "float-rng-counter", "float-rng-increment",
-                              "bool-rng-counter", "string-step", "step-past-steps", "negative-step"])
+                              "bool-rng-counter", "string-step", "step-past-steps", "negative-step",
+                              "string-train_state", "list-train_config", "integer-data_recipe"])
 def test_resume_from_a_bad_training_state_exits_three(tmp_path, capsys, field, value):
     out = tmp_path / "run"
     argv = trained_with_checkpoints(out)
     manifest_path = out / "ckpt_step000001.json"
     manifest = json.loads(manifest_path.read_text())
-    if value is None:
+    if field == "train_state":
+        manifest[field] = value
+    elif value is None:
         del manifest["train_state"][field]
     else:
         manifest["train_state"][field] = value

@@ -87,7 +87,7 @@ def test_batch_rows_are_independent(rng):
 
 def test_plain_fusion_is_pluggable(rng):
     store = ParamStore(seed=0, dtype=np.float64)
-    plain = PlainSkipFusion(store, "f", 4, gn_groups=4, se_reduction=4)
+    plain = PlainSkipFusion(store, "f", 4)
     enc = Tensor(rng.normal(size=(1, 4, 6, 6)))
     dec = Tensor(rng.normal(size=(1, 4, 6, 6)))
     y = plain(enc, dec)
@@ -108,5 +108,7 @@ def test_gradients_reach_all_parameters(rng):
 
 
 def test_invalid_group_configuration_rejected():
-    with pytest.raises(ConfigError):
-        GatedSkipFusion(ParamStore(seed=0), "f", 6, gn_groups=4)
+    # 4 GroupNorm groups divide none of these widths
+    for channels in (1, 2, 3, 6):
+        with pytest.raises(ConfigError):
+            GatedSkipFusion(ParamStore(seed=0), "f", channels)

@@ -210,7 +210,7 @@ def test_manifest_with_the_retired_config_keys_loads_the_same_model(tmp_path):
 
 
 def test_every_config_field_but_the_seed_is_varied_by_a_preset_or_an_ablation():
-    """A field no preset or ablation row sets to a second value belongs in FIXED, not the config."""
+    """A field no preset or ablation row sets to a second value belongs in a module constant."""
     configs = [make() for make in PRESETS.values()]
     configs += [cfg for base in list(configs) for _, cfg in ablation_variants(base)]
     for f in fields(ModelConfig):

@@ -289,28 +289,28 @@ def test_layer_norm_on_vectors(rng):
     np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-8)
 
 
-def _group_norm(x, groups, eps):
+def _group_norm(x, groups):
     store = ParamStore(seed=0, dtype=np.float64)
-    return GroupNorm(store, "g", x.shape[1], groups, eps=eps)(Tensor(x)).data
+    return GroupNorm(store, "g", x.shape[1], groups)(Tensor(x)).data
 
 
 def test_group_norm_matches_per_group_oracle(rng):
     x = rng.normal(size=(2, 6, 4, 4))
-    got = _group_norm(x, 3, 1e-8)
+    got = _group_norm(x, 3)
     want = np.empty_like(x)
     for n in range(2):
         for g in range(3):
             blk = x[n, 2 * g:2 * g + 2]
-            want[n, 2 * g:2 * g + 2] = (blk - blk.mean()) / np.sqrt(blk.var() + 1e-8)
+            want[n, 2 * g:2 * g + 2] = (blk - blk.mean()) / np.sqrt(blk.var() + GroupNorm.EPS)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 def test_group_norm_num_groups_equals_channels_is_instance_norm(rng):
     x = rng.normal(size=(1, 4, 5, 5))
-    got = _group_norm(x, 4, 1e-8)
+    got = _group_norm(x, 4)
     for c in range(4):
         ch = x[0, c]
-        np.testing.assert_allclose(got[0, c], (ch - ch.mean()) / np.sqrt(ch.var() + 1e-8),
+        np.testing.assert_allclose(got[0, c], (ch - ch.mean()) / np.sqrt(ch.var() + GroupNorm.EPS),
                                    rtol=1e-10)
 
 
@@ -388,7 +388,7 @@ def test_normalize_is_bit_identical_to_the_standardize_mul_add_chain(rng, case, 
     x0 = (rng.normal(size=shape) * 3 + 1).astype(dtype)
     g = rng.normal(size=shape).astype(dtype)
     results = []
-    for f in (norm, lambda x: standardize_mul_add(x, norm.weight, norm.bias, groups, norm.eps)):
+    for f in (norm, lambda x: standardize_mul_add(x, norm.weight, norm.bias, groups, norm.EPS)):
         store.zero_grads()
         x = Tensor(x0, requires_grad=True)
         y = f(ops.reshape(x, shape))  # a tape node, as the norms' inputs are

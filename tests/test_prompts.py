@@ -6,13 +6,13 @@ import pytest
 from restorekit import ops
 from restorekit.errors import ConfigError
 from restorekit.params import ParamStore
-from restorekit.prompts import DegradationContext, PromptConfig, PromptGenerator
+from restorekit.prompts import DegradationContext, PromptGenerator
 from restorekit.tensor import Tensor
 
 
-def build(c=4, dg=16, scales=3, seed=0):
+def build(c=4, dg=16, seed=0):
     store = ParamStore(seed=seed, dtype=np.float64)
-    gen = PromptGenerator(store, "p", PromptConfig(channels=c, num_scales=scales, global_dim=dg))
+    gen = PromptGenerator(store, "p", channels=c, global_dim=dg)
     return store, gen
 
 
@@ -107,14 +107,10 @@ def test_gradients_reach_every_parameter(rng):
     assert not missing, missing
 
 
-def test_param_count_grows_with_scales():
-    s2 = ParamStore(seed=0)
-    PromptGenerator(s2, "p", PromptConfig(channels=4, num_scales=2, global_dim=8))
-    s3 = ParamStore(seed=0)
-    PromptGenerator(s3, "p", PromptConfig(channels=4, num_scales=3, global_dim=8))
-    assert s3.total_parameters() > s2.total_parameters()
-
-
 def test_invalid_config_rejected():
-    with pytest.raises(ConfigError):
-        PromptConfig(channels=0).validate()
+    # a zero width, or a negative number of levels; refused before any parameter is drawn
+    for channels, global_dim, levels in [(0, 8, 4), (4, 0, 4), (4, 8, -1)]:
+        store = ParamStore(seed=0)
+        with pytest.raises(ConfigError):
+            PromptGenerator(store, "p", channels, global_dim, levels)
+        assert not store.names()
